@@ -55,15 +55,17 @@ def _csv(header: list[str], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> list[dict]:
+def _emit(text: str, args) -> list[dict]:
+    """Write ``text`` to --out or stdout; the manifest entries (none without --manifest)."""
     data = text.encode("utf-8")
-    digest = _fnv1a64(data)
-    if out:
-        with open(out, "wb") as fh:
+    if args.out:
+        with open(args.out, "wb") as fh:
             fh.write(data)
-        return [{"path": out, "fnv1a64": digest}]
-    sys.stdout.write(text)
-    return [{"path": "stdout", "fnv1a64": digest}]
+    else:
+        sys.stdout.write(text)
+    if not args.manifest:
+        return []
+    return [{"path": args.out or "stdout", "fnv1a64": _fnv1a64(data)}]
 
 
 def _require(cond: bool, message: str) -> None:
@@ -157,7 +159,7 @@ def _cmd_families(args) -> tuple[list[dict], int]:
             for row in rows
         ]
         text = "\n".join(lines) + "\n"
-    return _emit(text, args.out), 0
+    return _emit(text, args), 0
 
 
 def _cmd_simulate(args) -> tuple[list[dict], int]:
@@ -176,7 +178,7 @@ def _cmd_simulate(args) -> tuple[list[dict], int]:
         obj = records.sample_records_sequential(spec, args.theta, int(args.records), stream)
     else:
         obj = records.sample_records_direct(spec, args.theta, int(args.records), stream)
-    return _emit(records.serialize_csv(obj), args.out), 0
+    return _emit(records.serialize_csv(obj), args), 0
 
 
 def _fit_report(args) -> estimate.EstimateReport:
@@ -201,7 +203,7 @@ def _cmd_fit(args) -> tuple[list[dict], int]:
         "sufficient_stat": rep.sufficient_stat,
         "theta_hat": rep.theta_hat,
     }
-    return _emit(json.dumps(obj, indent=2) + "\n", args.out), 0
+    return _emit(json.dumps(obj, indent=2) + "\n", args), 0
 
 
 def _cmd_eval(args) -> tuple[list[dict], int]:
@@ -222,7 +224,7 @@ def _cmd_eval(args) -> tuple[list[dict], int]:
         theta = _fit_report(args).theta_hat
     values = (fam.pdf if args.what.startswith("pdf") else fam.cdf)(spec, theta, xs)
     rows = [(float(x), float(v)) for x, v in zip(xs, values)]
-    return _emit(_csv(["x", "value"], rows), args.out), 0
+    return _emit(_csv(["x", "value"], rows), args), 0
 
 
 _TABLE_NEEDS_X = ("E-cdf", "E-pdf", "MSE-cdf", "MSE-pdf")
@@ -259,7 +261,7 @@ def _cmd_table(args) -> tuple[list[dict], int]:
     for size in sizes:
         sv = _table_series(args, spec, size)
         rows.append((size, sv.value, sv.in_natural_bounds, sv.regime_note))
-    return _emit(_csv(["size", "value", "in_bounds", "regime"], rows), args.out), 0
+    return _emit(_csv(["size", "value", "in_bounds", "regime"], rows), args), 0
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +536,7 @@ def _cmd_verify(args) -> tuple[list[dict], int]:
     else:
         text = json.dumps({"seed": int(args.seed), "suites": results, "passed": passed},
                           indent=2) + "\n"
-    return _emit(text, args.out), 0 if passed else 1
+    return _emit(text, args), 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------

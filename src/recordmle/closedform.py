@@ -19,10 +19,12 @@ values are returned as computed and flagged through
 quadrature oracle in :mod:`recordmle.oracle` supplies the exact values for
 any convergent target.
 
-Numerics: every term is evaluated as sign * exp(log-gamma arithmetic) and
-the terms are added with Kahan compensation. Naive factorial evaluation
-overflows beyond size of about 170; the log-space route stays finite for
-all practical sizes.
+Numerics: each series is one numpy pass. The log magnitudes of all terms
+come from a table of log-gamma at the integers (built with ``math.lgamma``
+and grown to the largest size seen), every term is sign * exp(log
+magnitude), and ``math.fsum`` adds the terms correctly rounded. Naive
+factorial evaluation overflows beyond size of about 170; the log-space
+route stays finite for all practical sizes.
 
 The sample-based and record-based versions of each formula are the same
 function of the count, so a single ``size`` argument serves both; outputs
@@ -33,6 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import family as fam
 from .errors import ArgumentError, DomainError
@@ -79,49 +83,41 @@ class SeriesValue:
 # core series evaluator
 
 
-def _signed_gamma_series(c: float, count: int, size: int, offset: int) -> float:
-    """Compensated sum of c^i Gamma(size-i-offset) / (Gamma(i+1) Gamma(size)).
+# log Gamma(j) for j = 0, 1, 2, ... (the pole at 0 is never read): a table of
+# a pure function, grown by doubling to the largest size seen
+_LGAMMA_INT = np.array([math.inf])
 
-    Terms run over i = 0..count-1 and are evaluated as
-    sign(c)^i * exp(log-space magnitude); Kahan compensation keeps the
-    alternating cancellation well conditioned.
+
+def _series_log_magnitudes(c: float, size: int, offset: int) -> np.ndarray:
+    """Log magnitudes of c^i Gamma(size-i-offset) / (Gamma(i+1) Gamma(size)).
+
+    One entry per term i < size - offset; only i = 0 when c is 0, since
+    every later term vanishes.
     """
-    if count <= 0:
-        return 0.0
-    lg_size = math.lgamma(size)
-    if c == 0.0:
-        return math.exp(math.lgamma(size - offset) - lg_size)
-    log_abs_c = math.log(abs(c))
-    negative = c < 0.0
-    total = 0.0
-    comp = 0.0
-    for i in range(count):
-        lg = (
-            i * log_abs_c
-            + math.lgamma(size - i - offset)
-            - math.lgamma(i + 1)
-            - lg_size
-        )
-        term = math.exp(lg)
-        if negative and (i & 1):
-            term = -term
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    global _LGAMMA_INT
+    if len(_LGAMMA_INT) <= size:
+        grow = range(len(_LGAMMA_INT), max(size + 1, 2 * len(_LGAMMA_INT)))
+        _LGAMMA_INT = np.concatenate((_LGAMMA_INT, [math.lgamma(j) for j in grow]))
+    lg, top = _LGAMMA_INT, size - offset
+    count = top if c else 1
+    log_abs_c = math.log(abs(c)) if c else 0.0
+    # i log|c| + lgamma(size-i-offset) - lgamma(i+1) - lgamma(size), in this
+    # order: the frozen series values at size 200 pin the rounding it gives
+    logs = np.arange(count) * log_abs_c + lg[top : top - count : -1]
+    return logs - lg[1 : count + 1] - lg[size]
 
 
-def _series_log_magnitudes(c: float, count: int, size: int, offset: int) -> list[float]:
-    """Log magnitudes of the series terms; test hook for overflow auditing."""
-    if count <= 0 or c == 0.0:
-        return [math.lgamma(size - offset) - math.lgamma(size)]
-    log_abs_c = math.log(abs(c))
-    lg_size = math.lgamma(size)
-    return [
-        i * log_abs_c + math.lgamma(size - i - offset) - math.lgamma(i + 1) - lg_size
-        for i in range(count)
-    ]
+def _signed_gamma_series(c: float, size: int, offset: int) -> float:
+    """Sum of c^i Gamma(size-i-offset) / (Gamma(i+1) Gamma(size)) over i < size - offset.
+
+    Terms are sign(c)^i * exp(log magnitude), added correctly rounded by
+    ``math.fsum``, so the alternating cancellation costs only the rounding
+    of the terms themselves.
+    """
+    terms = np.exp(_series_log_magnitudes(c, size, offset))
+    if c < 0.0:
+        terms[1::2] *= -1.0
+    return math.fsum(terms.tolist())
 
 
 def _prep_point(spec: fam.FamilySpec, theta: float, x: float) -> tuple[float, float, float]:
@@ -171,7 +167,7 @@ def w_alpha_series(
     if alpha < 0.0 or math.isnan(alpha):
         raise ArgumentError("w_alpha_series: alpha must be nonnegative")
     b_val, a_val, _ = _prep_point(spec, theta, x)
-    value = _signed_gamma_series(-alpha * m * b_val * a_val, m, m, 0)
+    value = _signed_gamma_series(-alpha * m * b_val * a_val, m, 0)
     in_bounds, note = _flags(value, 0.0, 1.0, _large_argument(m, b_val, a_val))
     return SeriesValue(value, m, in_bounds, note)
 
@@ -191,7 +187,7 @@ def expected_cdf_hat_series(
     if size < 1:
         raise ArgumentError("expected_cdf_hat_series: size must be at least 1")
     b_val, a_val, _ = _prep_point(spec, theta, x)
-    value = 1.0 - _signed_gamma_series(-size * b_val * a_val, size, size, 0)
+    value = 1.0 - _signed_gamma_series(-size * b_val * a_val, size, 0)
     in_bounds, note = _flags(value, 0.0, 1.0, _large_argument(size, b_val, a_val))
     return SeriesValue(value, size, in_bounds, note)
 
@@ -212,7 +208,7 @@ def expected_pdf_hat_series(
             "expected_pdf_hat_series: size must be at least 2 (empty sum below)"
         )
     b_val, a_val, ap_val = _prep_point(spec, theta, x)
-    core = _signed_gamma_series(-size * b_val * a_val, size - 1, size, 1)
+    core = _signed_gamma_series(-size * b_val * a_val, size, 1)
     value = size * b_val * ap_val * core
     in_bounds, note = _flags(value, 0.0, math.inf, _large_argument(size, b_val, a_val))
     return SeriesValue(value, size - 1, in_bounds, note)
@@ -232,8 +228,8 @@ def mse_cdf_hat_series(
         raise ArgumentError("mse_cdf_hat_series: size must be at least 1")
     b_val, a_val, _ = _prep_point(spec, theta, x)
     ba = b_val * a_val
-    w2 = _signed_gamma_series(-2.0 * size * ba, size, size, 0)
-    w1 = _signed_gamma_series(-size * ba, size, size, 0)
+    w2 = _signed_gamma_series(-2.0 * size * ba, size, 0)
+    w1 = _signed_gamma_series(-size * ba, size, 0)
     value = w2 - 2.0 * math.exp(-ba) * w1 + math.exp(-2.0 * ba)
     in_bounds, note = _flags(value, 0.0, 1.0, _large_argument(size, b_val, a_val))
     return SeriesValue(value, size, in_bounds, note)
@@ -269,8 +265,8 @@ def mse_pdf_hat_series(
         )
     b_val, a_val, ap_val = _prep_point(spec, theta, x)
     ba = b_val * a_val
-    s1 = _signed_gamma_series(-2.0 * size * ba, size - 2, size, 2)
-    s2 = _signed_gamma_series(-size * ba, size - 1, size, 1)
+    s1 = _signed_gamma_series(-2.0 * size * ba, size, 2)
+    s2 = _signed_gamma_series(-size * ba, size, 1)
     if as_printed:
         value = (
             (b_val * ap_val) ** 2 * s1
@@ -333,8 +329,8 @@ def mse_g_power_series(theta: float, n: int, k: float) -> SeriesValue:
     if not (theta > 0.0):
         raise DomainError("mse_g_power_series: theta must be positive")
     log_k = math.log(k)
-    e1 = _signed_gamma_series(n * theta * log_k, n, n, 0)
-    e2 = _signed_gamma_series(2.0 * n * theta * log_k, n, n, 0)
+    e1 = _signed_gamma_series(n * theta * log_k, n, 0)
+    e2 = _signed_gamma_series(2.0 * n * theta * log_k, n, 0)
     g_true = k**theta
     value = e2 - 2.0 * g_true * e1 + g_true * g_true
     hi = math.inf if k > 1.0 else max(g_true, 1.0 - g_true) ** 2

@@ -40,6 +40,7 @@ from .errors import (
     ArgumentError,
     DivergenceError,
     DomainError,
+    RecordCapError,
     ReplicationFailureError,
 )
 from .records import sample_records_sequential
@@ -408,7 +409,7 @@ def _block_sufficient_stats(
             try:
                 rs = sample_records_sequential(spec, theta, size, rng)
                 out[j] = float(spec.A(rs.values[-1]))
-            except Exception:
+            except RecordCapError:
                 out[j] = math.nan
         return out
     raise ArgumentError(f"unknown estimator source {source!r}; known: {SOURCES}")

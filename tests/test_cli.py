@@ -244,6 +244,25 @@ def test_out_file_and_manifest(tmp_path):
         manifest["outputs"][0]["fnv1a64"]
 
 
+def test_fnv1a64_published_vectors():
+    from recordmle.cli import _fnv1a64
+
+    assert _fnv1a64(b"") == "cbf29ce484222325"
+    assert _fnv1a64(b"a") == "af63dc4c8601ec8c"
+    assert _fnv1a64(b"foobar") == "85944171f73967e8"
+
+
+def test_digest_only_with_manifest(monkeypatch, capsys):
+    import recordmle.cli as cli
+
+    def fail(data):
+        raise AssertionError("digest computed without --manifest")
+
+    monkeypatch.setattr(cli, "_fnv1a64", fail)
+    assert cli.main(["families"]) == 0
+    assert capsys.readouterr().out
+
+
 def test_manifest_never_touches_stdout():
     with_m = run_cli("families", "--manifest")
     without = run_cli("families")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,10 +82,13 @@ def test_mse_pdf_decays_with_size():
 
 
 def test_no_overflow_at_size_500():
-    # every term of the size-500 series stays far below the float ceiling
-    mags = _series_log_magnitudes(-500.0, 500, 500, 0)
-    assert all(math.isfinite(v) for v in mags)
-    assert max(mags) < math.log(1e300)
+    # every term of the size-500 and size-2000 series (the largest size the
+    # table sweeps use) stays far below the float ceiling
+    for size in (500, 2000):
+        mags = _series_log_magnitudes(-float(size), size, 0)
+        assert len(mags) == size
+        assert all(math.isfinite(v) for v in mags)
+        assert max(mags) < math.log(1e300)
 
 
 @pytest.mark.parametrize(
@@ -232,10 +236,48 @@ def test_core_series_matches_high_precision(c, size, offset):
     count = size - offset
     if count < 1:
         return
-    got = _signed_gamma_series(c, count, size, offset)
+    got = _signed_gamma_series(c, size, offset)
     want, scale = _mp_reference(c, count, size, offset)
     # error budget scales with the sum of magnitudes (cancellation-aware)
     assert abs(got - want) <= 1e-13 * max(scale, 1e-300)
+
+
+def _mp_terms(c, size, offset):
+    """The series terms at 60 digits, by the exact ratio of consecutive terms."""
+    with mpmath.workdps(60):
+        term = mpmath.gamma(size - offset) / mpmath.gamma(size)
+        terms = [term]
+        for i in range(size - offset - 1):
+            term = term * c / ((i + 1) * (size - i - offset - 1))
+            terms.append(term)
+        return terms
+
+
+@pytest.mark.parametrize("size", [500, 1000, 2000])
+@pytest.mark.parametrize("offset", [0, 1, 2])
+@pytest.mark.parametrize("ba", [0.3, 1.5])
+def test_core_series_at_table_sizes(size, offset, ba):
+    # c = -size B A is the CDF and density argument of the table sweeps
+    c = -size * ba
+    mags = _series_log_magnitudes(c, size, offset)
+    terms = np.exp(mags) * np.where(np.arange(mags.size) % 2 == 1, -1.0, 1.0)
+    exact = _mp_terms(c, size, offset)
+    scale = float(sum(abs(t) for t in exact))
+    # the sum of the float64 terms, within the small-size test's budget
+    with mpmath.workdps(60):
+        float_sum = float(mpmath.fsum(mpmath.mpf(t) for t in terms.tolist()))
+    assert abs(_signed_gamma_series(c, size, offset) - float_sum) <= 1e-13 * scale
+    # each term: its log magnitude is i log|c| + lgamma(size-i-offset)
+    # - lgamma(i+1) - lgamma(size), with parts near lgamma(size) (1.3e4 at
+    # size 2000) that math.lgamma gives to a few ulp, so the absolute
+    # rounding error of the log, and with it the relative error of the term,
+    # stays below 8 eps times the summed magnitudes of the parts
+    eps = 2.0**-52
+    for i, (got, want) in enumerate(zip(terms.tolist(), exact)):
+        parts = (i * abs(math.log(abs(c))) + abs(math.lgamma(size - i - offset))
+                 + math.lgamma(i + 1) + math.lgamma(size))
+        err = float(abs(got - want))
+        assert err <= (8.0 * parts + 2.0) * eps * float(abs(want)) + 1e-300, i
 
 
 def test_alpha_n_values():

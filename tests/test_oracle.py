@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recordmle import oracle as oracle_mod
 from recordmle import (
     ArgumentError,
     DomainError,
     ExperimentConfig,
+    RecordCapError,
+    ReplicationFailureError,
     alpha_n_exponential,
     consistency_curve,
     exact_expected_cdf_hat,
@@ -232,6 +235,37 @@ def test_sequential_records_source_agrees():
     seq = mc_statistic_array(_cfg(reps=20000, sizes=(4,), seed=99), "records",
                              "theta_hat")
     assert ks_two_sample(direct, seq) < 0.02
+
+
+def test_records_source_counts_only_capped_sequences_as_failures(monkeypatch):
+    real = oracle_mod.sample_records_sequential
+    calls = [0]
+
+    def capped_twice(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] in (3, 7):
+            raise RecordCapError("cap reached")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle_mod, "sample_records_sequential", capped_twice)
+    rep = mc_estimate(_cfg(reps=200, sizes=(4,)), "MSE_theta_hat", "records")
+    assert rep.failures == 2
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("a bug, not a capped sequence")
+
+    # any other error is a defect and must surface, not become a NaN
+    monkeypatch.setattr(oracle_mod, "sample_records_sequential", broken)
+    with pytest.raises(ZeroDivisionError):
+        mc_estimate(_cfg(reps=200, sizes=(4,)), "MSE_theta_hat", "records")
+
+
+def test_records_source_fails_typed_at_m10():
+    # at m = 10, 2-3% of literal sequences exceed the 1e7-draw cap; on these
+    # inputs 5 of 200 do, more than the 1% an estimate tolerates
+    cfg = ExperimentConfig("exponential", 1.0, (10,), reps=200, seed=3)
+    with pytest.raises(ReplicationFailureError, match="5 of 200 replications failed"):
+        mc_estimate(cfg, "MSE_theta_hat", "records")
 
 
 def test_mc_estimate_cross_checks_quadrature():
