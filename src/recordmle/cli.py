@@ -218,6 +218,8 @@ def _cmd_eval(args) -> tuple[list[dict], int]:
     )
     if args.what in ("pdf", "cdf"):
         _require(args.theta is not None, f"{args.what} requires --theta")
+        _require(args.data is None and not args.records,
+                 f"--data and --records apply only to {args.what}-hat")
         theta = args.theta
     else:
         _require(args.data is not None, f"{args.what} requires --data")
@@ -227,40 +229,31 @@ def _cmd_eval(args) -> tuple[list[dict], int]:
     return _emit(_csv(["x", "value"], rows), args), 0
 
 
-_TABLE_NEEDS_X = ("E-cdf", "E-pdf", "MSE-cdf", "MSE-pdf")
-
-
-def _table_series(args, spec, size: int) -> closedform.SeriesValue:
-    formula = args.formula
-    if formula in _TABLE_NEEDS_X:
-        ops = {
-            "E-cdf": closedform.expected_cdf_hat_series,
-            "E-pdf": closedform.expected_pdf_hat_series,
-            "MSE-cdf": closedform.mse_cdf_hat_series,
-        }
-        if formula == "MSE-pdf":
-            return closedform.mse_pdf_hat_series(
-                spec, args.theta, args.x, size, as_printed=args.as_printed
-            )
-        return ops[formula](spec, args.theta, args.x, size)
-    if formula == "alpha-n":
-        value = closedform.alpha_n_exponential(args.theta, size)
-        return closedform.SeriesValue(value, 1, True, closedform.ASYMPTOTIC_OK)
-    return closedform.mse_g_power_series(args.theta, size, args.k)
+_TABLE_TARGETS = {t.formula: t for t in oracle.REGISTRY.values()}
 
 
 def _cmd_table(args) -> tuple[list[dict], int]:
     _require(args.theta is not None, "table requires --theta")
+    _require(not args.as_printed or args.formula == "MSE-pdf",
+             "--as-printed applies only to --formula MSE-pdf")
     sizes = _parse_sizes(args.sizes)
+    target = _TABLE_TARGETS[args.formula]
     spec = None
-    if args.formula in _TABLE_NEEDS_X:
+    if target.needs_x:
         _require(args.family is not None, f"{args.formula} requires --family")
         _require(args.x is not None, f"{args.formula} requires --x")
         spec = fam.resolve_family(args.family)
+    options = {"as_printed": True} if args.as_printed else {}
     rows = []
-    for size in sizes:
-        sv = _table_series(args, spec, size)
-        rows.append((size, sv.value, sv.in_natural_bounds, sv.regime_note))
+    # overflowing series terms give a nan or inf value, which the row flags
+    with np.errstate(over="ignore", invalid="ignore"):
+        for size in sizes:
+            if target.series is None:  # alpha-n: the exponential theta^2 / n, exact
+                value = closedform.alpha_n_exponential(args.theta, size)
+                sv = closedform.SeriesValue(value, 1, True, closedform.ASYMPTOTIC_OK)
+            else:
+                sv = target.series(spec, args.theta, args.x, size, args.k, **options)
+            rows.append((size, sv.value, sv.in_natural_bounds, sv.regime_note))
     return _emit(_csv(["size", "value", "in_bounds", "regime"], rows), args), 0
 
 
@@ -557,8 +550,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifest", action="store_true",
                        help="print a run manifest (with digests) to stderr")
         p.add_argument("--config", help="flat key=value file supplying default flags")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker threads for replication blocks")
         if seed:
             p.add_argument("--seed", type=int, help="64-bit seed (required)")
 
@@ -592,8 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("table", help="closed-form series across a size sweep as CSV")
-    p.add_argument("--formula", required=True,
-                   choices=("E-cdf", "E-pdf", "MSE-cdf", "MSE-pdf", "alpha-n", "mse-g"))
+    p.add_argument("--formula", required=True, choices=tuple(_TABLE_TARGETS))
     p.add_argument("--sizes", required=True, help="'a..b' inclusive or 'a,b,c'")
     p.add_argument("--family")
     p.add_argument("--theta", type=float)
@@ -609,6 +599,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "theorem5", "consistency", "all"))
     p.add_argument("--json", action="store_true",
                    help="one compact JSON object per suite instead of one report")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker threads for replication blocks")
     common(p, seed=True)
 
     return parser

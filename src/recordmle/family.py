@@ -54,6 +54,7 @@ __all__ = [
     "quantile",
     "a_inverse",
     "b_inverse",
+    "point_constants",
     "make_exponential",
     "make_lomax",
     "make_weibull",
@@ -132,6 +133,17 @@ def _check_theta(spec: FamilySpec, theta: float) -> float:
             f"of family {spec.name!r}"
         )
     return theta
+
+
+def point_constants(spec: FamilySpec, theta: float, x: float) -> tuple[float, float, float]:
+    """Domain-checked (B(theta), A(x), A'(x)) at a support point."""
+    theta = _check_theta(spec, theta)
+    x = float(x)
+    if math.isnan(x) or not (spec.support_lo <= x < spec.support_hi):
+        raise DomainError(
+            f"x={x!r} outside support [{spec.support_lo}, {spec.support_hi})"
+        )
+    return float(spec.B(theta)), float(spec.A(x)), float(spec.A_prime(x))
 
 
 def _eval_pointwise(x, fn):

@@ -216,6 +216,60 @@ def test_table_as_printed_changes_values():
             "exponential", "--theta", "1.0", "--x", "1.0", expect=2)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--formula", "E-cdf", "--family", "exponential", "--theta", "1",
+         "--x", "1000", "--sizes", "2000"),
+        ("table", "--formula", "mse-g", "--theta", "1", "--k", "1e300", "--sizes",
+         "2000"),
+    ],
+)
+def test_table_overflowing_series_gives_flagged_row(argv):
+    proc = run_cli(*argv)
+    assert proc.stderr == ""
+    assert proc.stdout.strip().split("\n")[-1].endswith(",false,truncation_suspect")
+
+
+def test_table_rejects_as_printed_for_other_formulas():
+    proc = run_cli("table", "--formula", "MSE-cdf", "--sizes", "3..6", "--family",
+                   "exponential", "--theta", "1.0", "--x", "1.0", "--as-printed",
+                   expect=2)
+    assert "--as-printed" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("what,flag", [("pdf", "--data"), ("cdf", "--records")])
+def test_eval_exact_curve_rejects_fit_flags(tmp_path, what, flag):
+    data = tmp_path / "xs.csv"
+    data.write_text("index,value\n0,1.0\n1,2.0\n2,3.0\n")
+    extra = ["--data", str(data)] if flag == "--data" else ["--records"]
+    proc = run_cli("eval", "--family", "exponential", "--what", what, "--grid",
+                   "0:2:5", "--theta", "1.0", *extra, expect=2)
+    assert flag in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("families",),
+        ("simulate", "--family", "exponential", "--theta", "1", "--n", "3", "--seed", "1"),
+        ("fit", "--family", "exponential", "--data", "xs.csv"),
+        ("eval", "--family", "exponential", "--what", "cdf", "--grid", "0:2:5",
+         "--theta", "1"),
+        ("table", "--formula", "alpha-n", "--theta", "1", "--sizes", "3"),
+    ],
+)
+def test_workers_only_on_verify(argv, capsys):
+    from recordmle.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_table_mse_g_range_syntax():
     proc = run_cli("table", "--formula", "mse-g", "--sizes", "4..5", "--theta",
                    "1.0", "--k", "0.5")
@@ -319,3 +373,53 @@ def test_verify_requires_seed():
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.stdout.strip().endswith("0.1.0")
+
+
+# sha256 of stdout for fixed seeded commands: the byte contract that a
+# refactor must keep; a change here is an output change to explain
+_SEEDED_STDOUT = [
+    ("table --formula E-cdf --family exponential --theta 1 --x 1 --sizes 1..60",
+     "8ee4a3466427bfc2294585d719f09a15806c9a95c8d2983ee14b2426a922acbc"),
+    ("table --formula E-pdf --family lomax --theta 1.3 --x 0.7 --sizes 2..60",
+     "22d391760cf138ceea2a6defb87a8468a8e6a990b6d1de29bb974105708168c2"),
+    ("table --formula MSE-cdf --family weibull:alpha=2 --theta 0.8 --x 0.9 --sizes 1..60",
+     "c2934e7bd0b6d189d5720fe4a346f651ed0f8a6378ed30fb128b851491cc546f"),
+    ("table --formula MSE-pdf --family pareto:k=1.5 --theta 1.2 --x 2 --sizes 3..60",
+     "9ebe0565d3566737fff018348d5c410adfe15455b673cca57643862f50f66dd5"),
+    ("table --formula MSE-pdf --family exponential --theta 1 --x 1 --sizes 3..60 "
+     "--as-printed",
+     "5fcce010b49528c1c229a135120a243ad42550e3d3bc439d3f589985ff200ea0"),
+    ("table --formula alpha-n --theta 2 --sizes 1..20",
+     "d303a3a0f8a67c3b70d577d48408b3158f708a1fc50b451eaad496ed5dd05b06"),
+    ("table --formula mse-g --theta 1 --k 0.5 --sizes 1..45",
+     "c75f263b928f22f0f44a49f1af1b1811fb15b46e9b335f6fb90ef697b552c125"),
+    ("table --formula mse-g --theta 1 --sizes 1..30",
+     "80bd735c60b4826d29a171341c1032b5aeee520b591d556d27e16472e41458f6"),
+    ("simulate --family exponential --theta 2 --n 50 --seed 7",
+     "5b97e773cbca0d175d8d0fea1df8bedb76051a12bc475d13f2c90cd148aae12e"),
+    ("simulate --family weibull:alpha=2 --theta 1 --records 8 --seed 7",
+     "f2bd6ece1baee88ac89c450178ed8260a5f35aa665b3e054a625b841bc186ed2"),
+    ("simulate --family lomax --theta 1 --records 5 --records-mode sequential --seed 3",
+     "6d1374e860325ba694c986777f1e7935e12cf68d1e6b087cbfc7e2822407a730"),
+    ("eval --family lomax --what pdf --grid 0:10:41 --theta 1",
+     "3d31c8d54783e620027d6943ed37b1538cb2cad37301a5e26e72784fc821ad11"),
+    ("eval --family pareto:k=1.0 --what cdf --grid 1:21:41 --theta 1.5",
+     "32476665ae8c1bf339c5f73de63a38f0865091c7bea22941eb90d6045fb30a32"),
+    ("families",
+     "0abfa8411878b4e83616050764bf4688725a566889c9c4555e1daedd62bf420e"),
+    ("verify --suite theorem3 --seed 1 --json",
+     "3c18f46e80c0bed1ea7215aa099433a2a94009c2ab0a0245f9b39fe7d7b4d946"),
+    ("verify --suite theorem4 --seed 1 --json",
+     "d663027eb34b8f28785ee614e787dece595e1d3c127e87da3ddacc908e988070"),
+]
+
+
+def test_seeded_stdout_digests(capsys):
+    import hashlib
+
+    from recordmle.cli import main
+
+    for command, digest in _SEEDED_STDOUT:
+        assert main(command.split()) == 0, command
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, command

@@ -299,6 +299,32 @@ def test_mc_estimate_divergent_target_flagged():
     assert d["series_value"]["regime_note"] == "truncation_suspect"
 
 
+@pytest.mark.parametrize("source", ["sample", "records_direct"])
+@pytest.mark.parametrize("target", oracle_mod.TARGETS)
+def test_mc_estimate_every_target_agrees_with_quadrature(target, source):
+    # weibull has B(theta) = theta, so the power target's referees apply too;
+    # worst gap measured over seeds 0..10 is 2.5 standard errors
+    cfg = ExperimentConfig("weibull:alpha=2", 1.3, (8,), (0.9,), reps=20000, g_k=0.5)
+    rep = mc_estimate(cfg, target, source)
+    assert rep.failures == 0
+    assert not rep.quad_divergent
+    assert abs(rep.mc_value - rep.quad_value) <= 5.0 * rep.mc_stderr
+    assert (rep.series_value is None) == (target == "MSE_theta_hat")
+
+
+def test_table_formulas_are_the_registry_formulas():
+    import argparse
+
+    from recordmle.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    formula = next(a for a in sub.choices["table"]._actions if a.dest == "formula")
+    assert list(formula.choices) == [t.formula for t in oracle_mod.REGISTRY.values()]
+    assert oracle_mod.TARGETS == ("E_cdf_hat", "E_pdf_hat", "MSE_cdf_hat",
+                                  "MSE_pdf_hat", "MSE_theta_hat", "MSE_g_hat")
+
+
 def test_mc_estimate_requires_one_size():
     with pytest.raises(ArgumentError):
         mc_estimate(_cfg(sizes=(5, 10)), "E_cdf_hat", "sample")
