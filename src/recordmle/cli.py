@@ -171,6 +171,8 @@ def _cmd_simulate(args) -> tuple[list[dict], int]:
         (args.n is None) != (args.records is None),
         "simulate needs exactly one of --n or --records",
     )
+    _require(args.n is None or args.records_mode == "direct",
+             "--records-mode sequential applies only to --records")
     stream = (int(args.seed), 0)
     if args.n is not None:
         obj = records.sample_iid(spec, args.theta, int(args.n), stream)
@@ -243,6 +245,9 @@ def _cmd_table(args) -> tuple[list[dict], int]:
         _require(args.family is not None, f"{args.formula} requires --family")
         _require(args.x is not None, f"{args.formula} requires --x")
         spec = fam.resolve_family(args.family)
+    else:
+        _require(args.family is None and args.x is None,
+                 f"--family and --x do not apply to --formula {args.formula}")
     options = {"as_printed": True} if args.as_printed else {}
     rows = []
     # overflowing series terms give a nan or inf value, which the row flags
@@ -267,6 +272,27 @@ def _check(name: str, passed: bool, **data) -> dict:
     return entry
 
 
+def _suite(name: str, checks: list[dict], **meta) -> dict:
+    """One suite record; every suite runs on the exponential member at theta = 1."""
+    return {"suite": name, "family": "exponential", "theta": 1.0, **meta,
+            "checks": checks, "passed": all(c["passed"] for c in checks)}
+
+
+def _series_vs_exact(target: str) -> dict:
+    """A target's size-200 series at x = 1 against its exact value, within 1e-3."""
+    entry, spec = oracle.REGISTRY[target], fam.make_exponential()
+    series = entry.series(spec, 1.0, 1.0, 200, None).value
+    exact, _ = entry.exact(spec, 1.0, 1.0, 200, None, 1e-10)
+    return _check(
+        f"{target.removesuffix('_hat')}_series_vs_exact_size200",
+        abs(series - exact) < 1e-3,
+        series=series,
+        exact=exact,
+        abs_error=abs(series - exact),
+        tolerance=1e-3,
+    )
+
+
 def _suite_theorem1(seed: int, workers: int) -> dict:
     """Sample-based and record-based estimators share one law at n = m."""
     size, reps, x = 5, 20_000, math.log(2.0)
@@ -282,15 +308,7 @@ def _suite_theorem1(seed: int, workers: int) -> dict:
         b = oracle.mc_statistic_array(cfg_r, "records_direct", stat, workers)
         d = oracle.ks_two_sample(a, b)
         checks.append(_check(label, d < 0.02, statistic=d, threshold=0.02))
-    return {
-        "suite": "theorem1",
-        "family": "exponential",
-        "theta": 1.0,
-        "size": size,
-        "reps_per_arm": reps,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
+    return _suite("theorem1", checks, size=size, reps_per_arm=reps)
 
 
 def _suite_example1(seed: int, workers: int) -> dict:
@@ -334,48 +352,17 @@ def _suite_example1(seed: int, workers: int) -> dict:
             bound=bound,
         )
     )
-    return {
-        "suite": "example1",
-        "family": "exponential",
-        "theta": 1.0,
-        "reps": reps,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
+    return _suite("example1", checks, reps=reps)
 
 
 def _suite_theorem3(seed: int, workers: int) -> dict:
     """Truncated mean series against exact quadrature, plus the size-2 defect."""
     spec = fam.make_exponential()
-    tol = 1e-10
-    checks = []
-    sv = closedform.expected_cdf_hat_series(spec, 1.0, 1.0, 200)
-    exact = oracle.exact_expected_cdf_hat(spec, 1.0, 1.0, 200, tol)
-    checks.append(
-        _check(
-            "E_cdf_series_vs_exact_size200",
-            abs(sv.value - exact) < 1e-3,
-            series=sv.value,
-            exact=exact,
-            abs_error=abs(sv.value - exact),
-            tolerance=1e-3,
-        )
-    )
-    svp = closedform.expected_pdf_hat_series(spec, 1.0, 1.0, 200)
-    exact_p = oracle.exact_expected_pdf_hat(spec, 1.0, 1.0, 200, tol)
-    checks.append(
-        _check(
-            "E_pdf_series_vs_exact_size200",
-            abs(svp.value - exact_p) < 1e-3,
-            series=svp.value,
-            exact=exact_p,
-            abs_error=abs(svp.value - exact_p),
-            tolerance=1e-3,
-        )
-    )
     defect = closedform.expected_cdf_hat_series(spec, 1.0, 0.8, 2)
-    exact_defect = oracle.exact_expected_cdf_hat(spec, 1.0, 0.8, 2, tol)
-    checks.append(
+    exact_defect = oracle.exact_expected_cdf_hat(spec, 1.0, 0.8, 2, 1e-10)
+    checks = [
+        _series_vs_exact("E_cdf_hat"),
+        _series_vs_exact("E_pdf_hat"),
         _check(
             "size2_truncation_defect_detected",
             abs(defect.value - 1.6) < 1e-12
@@ -385,38 +372,19 @@ def _suite_theorem3(seed: int, workers: int) -> dict:
             in_natural_bounds=defect.in_natural_bounds,
             regime_note=defect.regime_note,
             exact=exact_defect,
-        )
-    )
-    return {
-        "suite": "theorem3",
-        "family": "exponential",
-        "theta": 1.0,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
+        ),
+    ]
+    return _suite("theorem3", checks)
 
 
 def _suite_theorem4(seed: int, workers: int) -> dict:
     """MSE series against exact quadrature; adjudicates the cross-term sign."""
     spec = fam.make_exponential()
-    tol = 1e-10
-    checks = []
-    sv = closedform.mse_cdf_hat_series(spec, 1.0, 1.0, 200)
-    exact = oracle.exact_mse_cdf_hat(spec, 1.0, 1.0, 200, tol)
-    checks.append(
-        _check(
-            "MSE_cdf_series_vs_exact_size200",
-            abs(sv.value - exact) < 1e-3,
-            series=sv.value,
-            exact=exact,
-            abs_error=abs(sv.value - exact),
-            tolerance=1e-3,
-        )
-    )
     default = closedform.mse_pdf_hat_series(spec, 1.0, 1.0, 200)
     printed = closedform.mse_pdf_hat_series(spec, 1.0, 1.0, 200, as_printed=True)
-    exact_p = oracle.exact_mse_pdf_hat(spec, 1.0, 1.0, 200, tol)
-    checks.append(
+    exact_p = oracle.exact_mse_pdf_hat(spec, 1.0, 1.0, 200, 1e-10)
+    checks = [
+        _series_vs_exact("MSE_cdf_hat"),
         _check(
             "MSE_pdf_sign_adjudication_size200",
             abs(default.value - exact_p) < 2e-3,
@@ -426,15 +394,9 @@ def _suite_theorem4(seed: int, workers: int) -> dict:
             tolerance=2e-3,
             as_printed_form=printed.value,
             as_printed_gap=abs(printed.value - exact_p),
-        )
-    )
-    return {
-        "suite": "theorem4",
-        "family": "exponential",
-        "theta": 1.0,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
+        ),
+    ]
+    return _suite("theorem4", checks)
 
 
 def _suite_theorem5(seed: int, workers: int) -> dict:
@@ -472,14 +434,7 @@ def _suite_theorem5(seed: int, workers: int) -> dict:
             tolerance=0.01 * f_true,
         ),
     ]
-    return {
-        "suite": "theorem5",
-        "family": "exponential",
-        "theta": 1.0,
-        "x": x,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
+    return _suite("theorem5", checks, x=x)
 
 
 def _suite_consistency(seed: int, workers: int) -> dict:
@@ -498,15 +453,7 @@ def _suite_consistency(seed: int, workers: int) -> dict:
         ),
         _check("final_below_quarter", probs[-1] < 0.25, final=probs[-1], tolerance=0.25),
     ]
-    return {
-        "suite": "consistency",
-        "family": "exponential",
-        "theta": 1.0,
-        "eps": 0.2,
-        "reps": 20_000,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
+    return _suite("consistency", checks, eps=0.2, reps=20_000)
 
 
 _SUITES = {

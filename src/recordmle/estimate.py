@@ -54,13 +54,8 @@ def _theta_from_stat(spec: fam.FamilySpec, size: int, t_stat: float, source: str
             f"sufficient statistic is {t_stat!r}; all mass sits at the lower "
             "support endpoint, the likelihood has no interior maximum"
         )
-    theta_hat = float(fam.b_inverse(spec, size / t_stat))
-    lo, hi = spec.theta_domain
-    if not (lo < theta_hat < hi) or not math.isfinite(theta_hat):
-        raise DomainError(
-            f"inverted estimate {theta_hat!r} escapes the parameter domain "
-            f"({lo}, {hi})"
-        )
+    # an inverse that escapes the parameter domain is a DomainError
+    theta_hat = fam._check_theta(spec, fam.b_inverse(spec, size / t_stat))
     return EstimateReport(
         theta_hat=theta_hat,
         source=source,

@@ -74,11 +74,14 @@ class FamilySpec:
 
     ``A`` must be strictly increasing on ``[support_lo, support_hi)`` with
     ``A(support_lo) = 0``; ``B`` must be positive on the open interval
-    ``theta_domain``. ``A_inv`` and ``B_inv`` are optional: when ``None``,
-    a bracketed bisection fallback with absolute tolerance 1e-12 is used,
+    ``theta_domain``. ``A`` and ``A_prime`` must accept numpy arrays: the
+    cdf/pdf maps, the MC engine and the ``eval`` grids call them on whole
+    arrays, and a scalar-only callable raises there even though
+    :func:`validate_family`, which calls them on scalars, passes. ``B`` is
+    only called on scalars. ``A_inv`` and ``B_inv`` are optional and, when
+    given, are called on arrays; when ``None``, a bracketed bisection with
+    absolute tolerance 1e-12 inverts ``A`` or ``B`` one element at a time,
     so custom families can be registered with only ``A`` and ``B``.
-    Callables should accept numpy arrays; scalar-only callables still work
-    but force elementwise fallbacks in the samplers.
 
     Instances are immutable and safe to share across worker threads.
     """
@@ -222,161 +225,8 @@ def quantile(spec: FamilySpec, theta: float, u):
 # inverse maps with bisection fallback
 
 
-def _bisect_increasing(fn, target: float, lo: float, hi_open: float) -> float:
-    """Invert a strictly increasing scalar map on [lo, hi_open).
-
-    Expands a bracket geometrically toward the open upper endpoint, then
-    bisects to absolute tolerance 1e-12 on the argument.
-    """
-    f_lo = fn(lo)
-    if target <= f_lo:
-        if abs(target - f_lo) <= _INVERT_TOL:
-            return lo
-        raise EstimatorRangeError(
-            f"target {target!r} below range start {f_lo!r} at argument {lo!r}"
-        )
-    if math.isinf(hi_open):
-        hi = max(abs(lo), 1.0)
-        for _ in range(200):
-            if fn(hi) >= target:
-                break
-            hi *= 2.0
-        else:
-            raise EstimatorRangeError(
-                f"target {target!r} not bracketed below argument {hi!r}"
-            )
-        lo_b = lo if hi == max(abs(lo), 1.0) else hi / 2.0
-    else:
-        hi = hi_open
-        lo_b = lo
-        # step just inside the open endpoint; fn may not be finite at hi
-        width = hi - lo
-        probe = hi - width * 1e-15
-        if fn(probe) < target:
-            raise EstimatorRangeError(
-                f"target {target!r} above range near open endpoint {hi_open!r}"
-            )
-        hi = probe
-    lo = lo_b
-    for _ in range(200):
-        if hi - lo <= _INVERT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _invert_on_open_interval(fn, target: float, domain: tuple[float, float]) -> float:
-    """Invert a strictly monotone scalar map on an open interval.
-
-    Monotonicity direction is detected from two probes; the interval may be
-    unbounded. Raises :class:`EstimatorRangeError` with the observed range
-    when the target cannot be bracketed.
-    """
-    lo, hi = domain
-    # map (0,1) -> domain so unbounded intervals get geometric probing
-    if math.isinf(hi) and math.isinf(lo):
-        to_dom = lambda s: math.tan(math.pi * (s - 0.5))
-    elif math.isinf(hi):
-        to_dom = lambda s: lo + s / (1.0 - s)
-    elif math.isinf(lo):
-        to_dom = lambda s: hi - (1.0 - s) / s
-    else:
-        to_dom = lambda s: lo + (hi - lo) * s
-
-    g = lambda s: fn(to_dom(s))
-    increasing = g(0.75) > g(0.25)
-    h = (lambda s: g(s)) if increasing else (lambda s: -g(s))
-    t = target if increasing else -target
-
-    s_lo, s_hi = None, None
-    probes_lo = [0.5 * 2.0**-k for k in range(60)]
-    # past k = 52 the subtraction rounds to 1.0 exactly, outside the open map
-    probes_hi = [s for k in range(60) if (s := 1.0 - 0.5 * 2.0**-k) < 1.0]
-    for s in probes_lo:
-        val = h(s)
-        if math.isfinite(val) and val <= t:
-            s_lo = s
-            break
-    for s in probes_hi:
-        val = h(s)
-        if math.isfinite(val) and val >= t:
-            s_hi = s
-            break
-    if s_lo is not None and s_lo == s_hi:
-        # both scans stopped on the shared probe: the target sits exactly there
-        return to_dom(s_lo)
-    if s_lo is None or s_hi is None or s_lo > s_hi:
-        lo_obs = g(probes_lo[-1])
-        hi_obs = g(probes_hi[-1])
-        rng = (min(lo_obs, hi_obs), max(lo_obs, hi_obs))
-        raise EstimatorRangeError(
-            f"target {target!r} outside observed range {rng!r} of B on the "
-            f"parameter domain {domain!r}"
-        )
-    for _ in range(200):
-        if to_dom(s_hi) - to_dom(s_lo) <= _INVERT_TOL:
-            break
-        mid = 0.5 * (s_lo + s_hi)
-        if h(mid) < t:
-            s_lo = mid
-        else:
-            s_hi = mid
-    return to_dom(0.5 * (s_lo + s_hi))
-
-
-def a_inverse(spec: FamilySpec, y):
-    """Evaluate ``A_inv``, falling back to bisection when not supplied."""
-    if spec.A_inv is not None:
-        return _eval_pointwise(y, lambda arr: spec.A_inv(arr))
-
-    def scalar(val: float) -> float:
-        if val < 0.0:
-            raise DomainError(f"A_inv argument {val!r} is negative")
-        return _bisect_increasing(
-            lambda x: float(spec.A(x)), val, spec.support_lo, spec.support_hi
-        )
-
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim == 0:
-        return scalar(float(arr))
-    return np.array([scalar(v) for v in arr.ravel()]).reshape(arr.shape)
-
-
-def b_inverse(spec: FamilySpec, y):
-    """Evaluate ``B_inv``, falling back to monotone bisection when absent."""
-    if spec.B_inv is not None:
-        return _eval_pointwise(y, lambda arr: spec.B_inv(arr))
-
-    def scalar(val: float) -> float:
-        return _invert_on_open_interval(
-            lambda t: float(spec.B(t)), val, spec.theta_domain
-        )
-
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim == 0:
-        return scalar(float(arr))
-    return np.array([scalar(v) for v in arr.ravel()]).reshape(arr.shape)
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-def _support_grid(spec: FamilySpec, grid_size: int) -> np.ndarray:
-    s = (np.arange(grid_size) + 0.5) / grid_size
-    a, b = spec.support_lo, spec.support_hi
-    if math.isinf(b):
-        return a + s / (1.0 - s)
-    return a + (b - a) * s
-
-
-def _theta_grid(spec: FamilySpec, grid_size: int) -> np.ndarray:
-    s = (np.arange(grid_size) + 0.5) / grid_size
-    lo, hi = spec.theta_domain
+def _to_interval(s, lo: float, hi: float):
+    """Map s in (0, 1), scalar or array, increasingly onto the open (lo, hi)."""
     if math.isinf(hi) and math.isinf(lo):
         return np.tan(np.pi * (s - 0.5))
     if math.isinf(hi):
@@ -384,6 +234,106 @@ def _theta_grid(spec: FamilySpec, grid_size: int) -> np.ndarray:
     if math.isinf(lo):
         return hi - (1.0 - s) / s
     return lo + (hi - lo) * s
+
+
+def _invert_monotone(fn, target: float, lo: float, hi: float, closed_lo: bool = False) -> float:
+    """Solve ``fn(x) = target`` for a strictly monotone scalar map on (lo, hi).
+
+    The direction comes from probes at the images of 1/4 and 3/4. From the
+    image of 1/2 the bracket grows toward the side of the root: the step
+    doubles toward an infinite end and the gap halves toward a finite end,
+    at most 200 times. Bisection then runs to absolute tolerance 1e-12. With
+    ``closed_lo`` the map is known to lie below ``target`` at lo, which then
+    bounds the root when the probes cannot get closer to it. Raises
+    :class:`EstimatorRangeError` when the target cannot be bracketed.
+    """
+    sign = 1.0 if fn(_to_interval(0.75, lo, hi)) > fn(_to_interval(0.25, lo, hi)) else -1.0
+    h = lambda x: sign * (fn(x) - target)  # increasing, zero at the root
+    x = _to_interval(0.5, lo, hi)
+    val = h(x)
+    up = val < 0.0
+    end = hi if up else lo
+    step = max(abs(x), 1.0)
+    bracket = None
+    for _ in range(200):
+        nxt = (x + step if up else x - step) if math.isinf(end) else 0.5 * (x + end)
+        step *= 2.0
+        if nxt in (x, end):  # rounded onto the last probe or the end
+            break
+        val = h(nxt)
+        if val >= 0.0 if up else val <= 0.0:
+            bracket = (x, nxt) if up else (nxt, x)
+            break
+        x = nxt
+    if bracket is None and closed_lo and val > 0.0:
+        bracket = (lo, x)
+    if bracket is None:
+        raise EstimatorRangeError(
+            f"target {target!r} not bracketed on ({lo}, {hi}): the map is "
+            f"{fn(x)!r} at the last probe {x!r}"
+        )
+    a, b = bracket
+    for _ in range(200):
+        if b - a <= _INVERT_TOL:
+            break
+        mid = 0.5 * (a + b)
+        if h(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def _elementwise(y, scalar):
+    """Apply a scalar routine to a scalar, or to each element of an array."""
+    arr = np.asarray(y, dtype=float)
+    if arr.ndim == 0:
+        return scalar(float(arr))
+    return np.array([scalar(float(v)) for v in arr.ravel()]).reshape(arr.shape)
+
+
+def a_inverse(spec: FamilySpec, y):
+    """Evaluate ``A_inv``, falling back to bisection when not supplied."""
+    if spec.A_inv is not None:
+        return _eval_pointwise(y, spec.A_inv)
+
+    def scalar(val: float) -> float:
+        if val < 0.0:
+            raise DomainError(f"A_inv argument {val!r} is negative")
+        if val == 0.0:
+            return spec.support_lo
+        return _invert_monotone(lambda x: float(spec.A(x)), val, spec.support_lo,
+                                spec.support_hi, closed_lo=True)
+
+    return _elementwise(y, scalar)
+
+
+def b_inverse(spec: FamilySpec, y):
+    """Evaluate ``B_inv``, falling back to monotone bisection when absent."""
+    if spec.B_inv is not None:
+        return _eval_pointwise(y, spec.B_inv)
+    return _elementwise(
+        y, lambda val: _invert_monotone(lambda t: float(spec.B(t)), val, *spec.theta_domain)
+    )
+
+
+# ---------------------------------------------------------------------------
+# validation
+
+
+def _roundtrip_check(name: str, fn, inverse, grid, detail: str) -> CheckResult:
+    """Worst relative error of ``inverse(fn(v))`` against v over ``grid``."""
+    worst, first = 0.0, None
+    for v in grid:
+        try:
+            back = float(inverse(float(fn(v))))
+            rel = abs(back - v) / max(1.0, abs(v))
+        except Exception as exc:
+            rel, detail = math.inf, f"{type(exc).__name__}: {exc}"
+        if rel > worst:
+            worst, first = rel, float(v)
+    ok = worst <= _ROUNDTRIP_TOL
+    return CheckResult(name, ok, worst, None if ok else first, detail)
 
 
 def _safe_eval(fn, arg):
@@ -406,8 +356,9 @@ def validate_family(spec: FamilySpec, grid_size: int = 64) -> ValidationReport:
     if grid_size < 8:
         raise ArgumentError("validate_family: grid_size must be at least 8")
     checks: list[CheckResult] = []
-    xs = _support_grid(spec, grid_size)
-    thetas = _theta_grid(spec, grid_size)
+    s = (np.arange(grid_size) + 0.5) / grid_size
+    xs = _to_interval(s, spec.support_lo, spec.support_hi)
+    thetas = _to_interval(s, *spec.theta_domain)
 
     # A strictly increasing, pairwise on the grid
     a_vals = np.array([_safe_eval(spec.A, x)[0] for x in xs])
@@ -462,31 +413,14 @@ def validate_family(spec: FamilySpec, grid_size: int = 64) -> ValidationReport:
             )
         )
 
-    # A_inv(A(x)) roundtrip
-    worst, first, detail = 0.0, None, "A_inv(A(x)) relative error on the support grid"
-    for x in xs:
-        try:
-            back = float(a_inverse(spec, float(spec.A(x))))
-            rel = abs(back - x) / max(1.0, abs(x))
-        except Exception as exc:
-            rel, detail = math.inf, f"{type(exc).__name__}: {exc}"
-        if rel > worst:
-            worst, first = rel, float(x)
-    ok = worst <= _ROUNDTRIP_TOL
-    checks.append(CheckResult("A_inv_roundtrip", ok, worst, None if ok else first, detail))
-
-    # B_inv(B(theta)) roundtrip
-    worst, first, detail = 0.0, None, "B_inv(B(theta)) relative error on the theta grid"
-    for t in thetas:
-        try:
-            back = float(b_inverse(spec, float(spec.B(t))))
-            rel = abs(back - t) / max(1.0, abs(t))
-        except Exception as exc:
-            rel, detail = math.inf, f"{type(exc).__name__}: {exc}"
-        if rel > worst:
-            worst, first = rel, float(t)
-    ok = worst <= _ROUNDTRIP_TOL
-    checks.append(CheckResult("B_inv_roundtrip", ok, worst, None if ok else first, detail))
+    checks.append(_roundtrip_check(
+        "A_inv_roundtrip", spec.A, lambda y: a_inverse(spec, y), xs,
+        "A_inv(A(x)) relative error on the support grid",
+    ))
+    checks.append(_roundtrip_check(
+        "B_inv_roundtrip", spec.B, lambda y: b_inverse(spec, y), thetas,
+        "B_inv(B(theta)) relative error on the theta grid",
+    ))
 
     # B positive on the parameter grid
     b_vals = np.array([_safe_eval(spec.B, t)[0] for t in thetas])

@@ -83,6 +83,16 @@ def test_simulate_usage_errors(argv):
     assert proc.stdout == ""
 
 
+def test_simulate_sample_rejects_sequential_records_mode(capsys):
+    from recordmle.cli import main
+
+    assert main(["simulate", "--family", "exponential", "--theta", "1", "--n", "3",
+                 "--records-mode", "sequential", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--records-mode" in err
+
+
 def test_simulate_output_roundtrips_byte_identically():
     from recordmle import Sample
     from recordmle.records import parse_csv_values, serialize_csv
@@ -229,6 +239,25 @@ def test_table_overflowing_series_gives_flagged_row(argv):
     proc = run_cli(*argv)
     assert proc.stderr == ""
     assert proc.stdout.strip().split("\n")[-1].endswith(",false,truncation_suspect")
+
+
+@pytest.mark.parametrize(
+    "formula,extra",
+    [
+        ("alpha-n", ["--family", "weibull:alpha=2"]),
+        ("alpha-n", ["--x", "1"]),
+        ("mse-g", ["--family", "bogus", "--x", "5"]),
+        ("mse-g", ["--x", "5"]),
+    ],
+)
+def test_table_rejects_family_and_x_for_formulas_without_a_point(formula, extra, capsys):
+    from recordmle.cli import main
+
+    assert main(["table", "--formula", formula, "--theta", "1", "--sizes", "3",
+                 *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--family and --x" in err
 
 
 def test_table_rejects_as_printed_for_other_formulas():
@@ -411,6 +440,14 @@ _SEEDED_STDOUT = [
      "3c18f46e80c0bed1ea7215aa099433a2a94009c2ab0a0245f9b39fe7d7b4d946"),
     ("verify --suite theorem4 --seed 1 --json",
      "d663027eb34b8f28785ee614e787dece595e1d3c127e87da3ddacc908e988070"),
+    ("verify --suite theorem1 --seed 1 --json",
+     "d6ceb73ea7333f11fc6dece8e9a718aa51315fdd519ff30b3fdc527a04928de6"),
+    ("verify --suite example1 --seed 1 --json",
+     "c73ca45efd54d139def846d13bf903e92f2aa02e98ee8d9271e9855ba8591309"),
+    ("verify --suite theorem5 --seed 1 --json",
+     "e39ff44e2eadcf93f039c23c1674ddf73db126403bf14b13e85bbdc35e9d7d3c"),
+    ("verify --suite consistency --seed 1 --json",
+     "a100358a3538c129a22d37224b1d8a3c808670005e9a4beb19563667cc2e245b"),
 ]
 
 

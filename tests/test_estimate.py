@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -181,6 +182,14 @@ def test_out_of_support_observation_rejected():
     pareto = make_pareto(2.0)
     with pytest.raises(DomainError):
         mle_theta_sample(pareto, Sample(values=(1.0, 3.0)))
+
+
+@pytest.mark.parametrize("escape", [-1.0, math.inf, math.nan])
+def test_inverse_escaping_parameter_domain_rejected(escape):
+    base = make_exponential()
+    spec = dataclasses.replace(base, name="escaping", B_inv=lambda y: np.full_like(y, escape))
+    with pytest.raises(DomainError, match="escaping"):
+        mle_theta_sample(spec, Sample(values=(1.0, 2.0)))
 
 
 @given(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from recordmle import (
     ArgumentError,
     DomainError,
+    EstimatorRangeError,
     FamilySpec,
     a_inverse,
     b_inverse,
@@ -141,6 +143,43 @@ def test_bisection_fallback_inverses():
         assert float(spec.B(t)) == pytest.approx(y, rel=1e-9)
     report = validate_family(spec)
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "base",
+    [make_exponential(), make_lomax(), make_weibull(0.5), make_weibull(3.0), make_pareto(1.5)],
+    ids=lambda s: s.name,
+)
+def test_fallback_inverter_matches_closed_forms(base):
+    spec = dataclasses.replace(base, A_inv=None, B_inv=None)
+    assert a_inverse(spec, 0.0) == spec.support_lo
+    # below the reach of the probes the closed lower end bounds the root
+    assert a_inverse(spec, 1e-17) == pytest.approx(float(a_inverse(base, 1e-17)), abs=1e-12)
+    # A = 120 lies past 9e15 for lomax and pareto: the bracket must double that far
+    ys = np.linspace(0.5, 120.0, 240)
+    xs = a_inverse(spec, ys)
+    np.testing.assert_allclose(xs, a_inverse(base, ys), rtol=1e-9)
+    targets = np.logspace(-6, 6, 49)
+    thetas = b_inverse(spec, targets)
+    np.testing.assert_allclose(base.B(thetas), targets, rtol=1e-6)
+    assert validate_family(spec).passed
+    with pytest.raises(DomainError):
+        a_inverse(spec, -1.0)
+
+
+def test_fallback_inverter_rejects_target_outside_range():
+    spec = FamilySpec(
+        name="unit",
+        A=lambda x: np.asarray(x, dtype=float) + 0.0,
+        A_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        B=lambda t: np.asarray(t, dtype=float) + 0.0,
+        support_lo=0.0,
+        support_hi=math.inf,
+        theta_domain=(0.0, 1.0),
+    )
+    assert b_inverse(spec, 0.3) == pytest.approx(0.3, abs=1e-12)
+    with pytest.raises(EstimatorRangeError):
+        b_inverse(spec, 2.0)
 
 
 @pytest.mark.parametrize(
