@@ -34,10 +34,9 @@ _FNV_PRIME = 0x100000001B3
 
 
 def _fnv1a64(data: bytes) -> str:
-    h = _FNV_OFFSET
+    h, prime, mask = _FNV_OFFSET, _FNV_PRIME, 0xFFFFFFFFFFFFFFFF  # locals: the loop is hot
     for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+        h = ((h ^ byte) * prime) & mask
     return f"{h:016x}"
 
 

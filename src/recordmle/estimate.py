@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import family as fam
 from .errors import DegenerateSampleError, DomainError
 from .records import RecordSequence, Sample
@@ -65,21 +67,28 @@ def _theta_from_stat(spec: fam.FamilySpec, size: int, t_stat: float, source: str
     )
 
 
-def _check_support(spec: fam.FamilySpec, values) -> None:
+def _check_support(spec: fam.FamilySpec, values) -> np.ndarray:
+    """``values`` as one float64 array, after checking that all lie in the support."""
     # out-of-support observations are a hard error; silently dropping them
     # would bias the estimator
-    for v in values:
-        if not (spec.support_lo <= v < spec.support_hi):
-            raise DomainError(
-                f"observation {v!r} outside support "
-                f"[{spec.support_lo}, {spec.support_hi}) of {spec.name!r}"
-            )
+    arr = np.asarray(values, dtype=float)
+    inside = (spec.support_lo <= arr) & (arr < spec.support_hi)
+    if not inside.all():
+        v = values[int(np.argmin(inside))]
+        raise DomainError(
+            f"observation {v!r} outside support "
+            f"[{spec.support_lo}, {spec.support_hi}) of {spec.name!r}"
+        )
+    return arr
 
 
 def mle_theta_sample(spec: fam.FamilySpec, xs: Sample) -> EstimateReport:
-    """Closed-form MLE from an i.i.d. sample: B_inv(n / sum A(X_i))."""
-    _check_support(spec, xs.values)
-    t_stat = math.fsum(float(spec.A(v)) for v in xs.values)
+    """Closed-form MLE from an i.i.d. sample: B_inv(n / sum A(X_i)).
+
+    ``A`` is called once, on the whole sample; the sum is exactly rounded.
+    """
+    arr = _check_support(spec, xs.values)
+    t_stat = math.fsum(np.asarray(spec.A(arr), dtype=float).tolist())
     return _theta_from_stat(spec, xs.n, t_stat, "sample")
 
 

@@ -75,13 +75,13 @@ class FamilySpec:
     ``A`` must be strictly increasing on ``[support_lo, support_hi)`` with
     ``A(support_lo) = 0``; ``B`` must be positive on the open interval
     ``theta_domain``. ``A`` and ``A_prime`` must accept numpy arrays: the
-    cdf/pdf maps, the MC engine and the ``eval`` grids call them on whole
-    arrays, and a scalar-only callable raises there even though
-    :func:`validate_family`, which calls them on scalars, passes. ``B`` is
-    only called on scalars. ``A_inv`` and ``B_inv`` are optional and, when
-    given, are called on arrays; when ``None``, a bracketed bisection with
-    absolute tolerance 1e-12 inverts ``A`` or ``B`` one element at a time,
-    so custom families can be registered with only ``A`` and ``B``.
+    cdf/pdf maps, the sample MLE, the MC engine and the ``eval`` grids call
+    them on whole arrays, and :func:`validate_family` fails a scalar-only
+    callable. ``B`` is only called on scalars. ``A_inv`` and ``B_inv`` are
+    optional and, when given, are called on arrays; when ``None``, a
+    bracketed bisection with absolute tolerance 1e-12 inverts ``A`` or
+    ``B`` one element at a time, so custom families can be registered with
+    only ``A`` and ``B``.
 
     Instances are immutable and safe to share across worker threads.
     """
@@ -343,6 +343,31 @@ def _safe_eval(fn, arg):
         return math.nan, f"{type(exc).__name__}: {exc}"
 
 
+def _array_check(spec: FamilySpec, xs: np.ndarray) -> CheckResult:
+    """A and A' called once on the array ``xs``, against their scalar calls."""
+    worst, first = 0.0, None
+    for label, fn in (("A", spec.A), ("A'", spec.A_prime)):
+        try:
+            vec = np.asarray(fn(xs), dtype=float)
+            if vec.shape != xs.shape:
+                raise ValueError(f"shape {xs.shape} in, shape {vec.shape} out")
+        except Exception as exc:  # report, never crash validation
+            return CheckResult("A_accepts_arrays", False, math.inf, float(xs[0]),
+                               f"{label} on an array: {type(exc).__name__}: {exc}")
+        scalar = np.array([_safe_eval(fn, x)[0] for x in xs])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(vec == scalar, 0.0, np.abs(vec - scalar) / np.abs(scalar))
+        rel = np.nan_to_num(rel, nan=math.inf)
+        i = int(np.argmax(rel))
+        if rel[i] > worst:
+            worst, first = float(rel[i]), float(xs[i])
+    ok = worst <= _ROUNDTRIP_TOL
+    return CheckResult(
+        "A_accepts_arrays", ok, worst, None if ok else first,
+        "A and A' on the support grid as one array, against scalar calls",
+    )
+
+
 def validate_family(spec: FamilySpec, grid_size: int = 64) -> ValidationReport:
     """Run every family invariant on deterministic grids.
 
@@ -350,8 +375,10 @@ def validate_family(spec: FamilySpec, grid_size: int = 64) -> ValidationReport:
     (limit grid when the endpoint itself is not evaluable); the A and B
     inverse roundtrips within 1e-9 relative; B positive on the parameter
     grid; A' positive and within 1e-6 relative of a central finite
-    difference of A. Non-finite callable output is reported as a failure
-    of the corresponding check, not raised.
+    difference of A; A and A' called once on the whole support grid,
+    matching the scalar calls within 1e-9 relative. Non-finite callable
+    output is reported as a failure of the corresponding check, not
+    raised.
     """
     if grid_size < 8:
         raise ArgumentError("validate_family: grid_size must be at least 8")
@@ -462,6 +489,7 @@ def validate_family(spec: FamilySpec, grid_size: int = 64) -> ValidationReport:
         )
     )
 
+    checks.append(_array_check(spec, xs))
     return ValidationReport(family=spec.name, checks=tuple(checks))
 
 

@@ -61,7 +61,8 @@ class Sample:
     def __post_init__(self):
         if len(self.values) == 0:
             raise ArgumentError("Sample: empty value list")
-        if any(math.isnan(v) for v in self.values):
+        # no dtype: strings and None stay a TypeError rather than being parsed
+        if np.isnan(np.asarray(self.values)).any():
             raise ArgumentError("Sample: NaN observation")
 
     @property
@@ -115,8 +116,8 @@ def extract_upper_records(xs: Union[Sample, Iterable[float]]) -> RecordSequence:
     mask = arr > prior
     idx = np.nonzero(mask)[0]
     return RecordSequence(
-        values=tuple(float(v) for v in arr[idx]),
-        indices=tuple(int(i) for i in idx),
+        values=tuple(arr[idx].tolist()),
+        indices=tuple(idx.tolist()),
     )
 
 
@@ -131,7 +132,7 @@ def sample_iid(spec: fam.FamilySpec, theta: float, n: int, rng_stream) -> Sample
     gen = as_generator(rng_stream)
     u = gen.random(int(n))
     x = np.asarray(fam.quantile(spec, theta, u), dtype=float)
-    return Sample(values=tuple(float(v) for v in x), provenance=_provenance(rng_stream))
+    return Sample(values=tuple(x.tolist()), provenance=_provenance(rng_stream))
 
 
 def sample_records_direct(
@@ -151,9 +152,7 @@ def sample_records_direct(
     e = -np.log1p(-gen.random(int(m))) / b_val
     s = np.cumsum(e)
     r = np.asarray(fam.a_inverse(spec, s), dtype=float)
-    return RecordSequence(
-        values=tuple(float(v) for v in r), indices=tuple(range(int(m)))
-    )
+    return RecordSequence(values=tuple(r.tolist()), indices=tuple(range(int(m))))
 
 
 def sample_records_sequential(

@@ -460,3 +460,48 @@ def test_seeded_stdout_digests(capsys):
         assert main(command.split()) == 0, command
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, command
+
+
+# (family, theta, simulate seed, eval grid) -> sha256 of the stdout of fit,
+# fit --records and eval --what cdf-hat --data on a simulated n = 20 000 sample
+_FIT_PATH_STDOUT = [
+    (("exponential", "1.5", "11", "0:8:33"),
+     ("347fe0aa253498be7f175e7a997a48ceb5b5f7a0e53847e7713890d1312d4df9",
+      "f5eb09b65b6189f497b1d7383c63f4738df82990373ca38e1dda9a906299c92c",
+      "9c0d55f0a291c99d745c33d0fbb66cc50650b2410da81241fe7ec1c3ac9000bc")),
+    (("lomax", "0.7", "12", "0:8:33"),
+     ("114dcf4f3f59a8b862903e6fd9b6433449b38540f253378c6c6253f5e41fa4e9",
+      "ba9f2781f573d2a5d40365a270ca20f7fea23001ee3186a52d0b7a14a6e7aa75",
+      "08b587194a18ced280eb5c77aff7cf60e108e85cf59bccd0d48af61e38b8cb39")),
+    (("weibull:alpha=2", "1.3", "13", "0:4:33"),
+     ("8ee9e30e87be1a10f9119b1e1ad38419e93346efd24f4cdadf3a4dd2463f383a",
+      "08b5b9da234779911f1dbe46dc0fb8618fca9822d9e98d2f672275128e63fad7",
+      "6d395af4fbc8492292914972e044f739c9ccbee5526a2dde50bb065871d28073")),
+    (("pareto:k=1.5", "2.5", "14", "1.5:9.5:33"),
+     ("5abe1d42f7ede4498e69e3a23d33f2d1690c8983d68ee01c615dff740b77c428",
+      "5fdf29b6d97aec67117c3311581a5ddbd2b258a03a83622ae60a099b361a530f",
+      "9d7ca77954e6f6f8f5c1dc02b884cbd2b171b1db463ccf396c1d9ae070f7d473")),
+]
+
+
+@pytest.mark.parametrize("case,digests", _FIT_PATH_STDOUT,
+                         ids=[case[0] for case, _ in _FIT_PATH_STDOUT])
+def test_fit_path_stdout_digests(case, digests, tmp_path, capsys):
+    import hashlib
+
+    from recordmle.cli import main
+
+    family, theta, seed, grid = case
+    data = str(tmp_path / "sample.csv")
+    assert main(["simulate", "--family", family, "--theta", theta, "--n", "20000",
+                 "--seed", seed, "--out", data]) == 0
+    commands = (
+        ["fit", "--family", family, "--data", data],
+        ["fit", "--family", family, "--data", data, "--records"],
+        ["eval", "--family", family, "--what", "cdf-hat", "--data", data, "--grid", grid],
+    )
+    capsys.readouterr()
+    for command, digest in zip(commands, digests):
+        assert main(command) == 0, command
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, command

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from recordmle import (
+    ArgumentError,
     DegenerateSampleError,
     DomainError,
     Sample,
@@ -182,6 +183,53 @@ def test_out_of_support_observation_rejected():
     pareto = make_pareto(2.0)
     with pytest.raises(DomainError):
         mle_theta_sample(pareto, Sample(values=(1.0, 3.0)))
+
+
+_ARRAY_SPECS = [
+    make_exponential(),
+    make_lomax(),
+    make_weibull(2.0),
+    make_weibull(0.7),
+    make_pareto(1.5),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("spec", _ARRAY_SPECS, ids=lambda s: s.name)
+def test_sample_mle_matches_per_row_definition(spec, seed):
+    # one A call on the whole array must give the per-row sum bit for bit
+    xs = sample_iid(spec, 1.3, 5000, rng_stream=(seed, 3))
+    report = mle_theta_sample(spec, xs)
+    t_ref = math.fsum(float(spec.A(v)) for v in xs.values)
+    assert report.sufficient_stat.hex() == t_ref.hex()
+    theta_ref = float(spec.B_inv(xs.n / t_ref))
+    assert report.theta_hat.hex() == theta_ref.hex()
+
+
+@pytest.mark.parametrize("spec", _ARRAY_SPECS, ids=lambda s: s.name)
+def test_out_of_support_message_names_the_first_offender(spec):
+    values = list(sample_iid(spec, 1.0, 101, rng_stream=(5, 0)).values)
+    bad = spec.support_lo - 0.25
+    values[50] = bad
+    values[70] = spec.support_lo - 3.0
+    expected = (f"observation {bad!r} outside support "
+                f"[{spec.support_lo}, {spec.support_hi}) of {spec.name!r}")
+    with pytest.raises(DomainError) as info:
+        mle_theta_sample(spec, Sample(values=tuple(values)))
+    assert str(info.value) == expected
+    values[50] = math.inf  # the open upper end is outside too
+    with pytest.raises(DomainError, match=r"observation inf outside support"):
+        mle_theta_sample(spec, Sample(values=tuple(values)))
+
+
+def test_nan_and_non_numeric_observations_rejected():
+    with pytest.raises(ArgumentError, match="Sample: NaN observation"):
+        Sample((1.0, math.nan))
+    with pytest.raises(ArgumentError, match="Sample: NaN observation"):
+        Sample((math.nan,) + (1.0,) * 1000)
+    for values in (("1.0",), (None, 1.0)):
+        with pytest.raises(TypeError):
+            Sample(values)
 
 
 @pytest.mark.parametrize("escape", [-1.0, math.inf, math.nan])

@@ -132,6 +132,38 @@ def _no_inverse_lomax() -> FamilySpec:
     )
 
 
+@pytest.mark.parametrize("spec", BUILTINS, ids=lambda s: s.name)
+def test_builtin_accepts_arrays(spec):
+    (check,) = [c for c in validate_family(spec).checks if c.name == "A_accepts_arrays"]
+    assert check.passed and check.residual == 0.0
+
+
+def test_validation_catches_scalar_only_a():
+    # math.log1p agrees with lomax's A on every scalar but raises on arrays
+    scalar_only = dataclasses.replace(make_lomax(), name="lomax-scalar", A=math.log1p)
+    report = validate_family(scalar_only)
+    assert [c.name for c in report.failures()] == ["A_accepts_arrays"]
+    assert "TypeError" in report.failures()[0].detail
+    with pytest.raises(TypeError):
+        cdf(scalar_only, 1.0, [0.5, 1.0])
+
+
+def test_validation_catches_array_call_that_disagrees_with_scalar_calls():
+    base = make_lomax()
+    # A' that collapses an array to one number
+    collapsing = dataclasses.replace(base, A_prime=lambda x: 1.0 / (1.0 + float(np.mean(x))))
+    (failure,) = validate_family(collapsing).failures()
+    assert failure.name == "A_accepts_arrays" and "shape" in failure.detail
+
+    def drifting(x):
+        arr = np.asarray(x, dtype=float)
+        return np.log1p(arr) * (1.0 + 1e-6 * (arr.ndim > 0))
+
+    report = validate_family(dataclasses.replace(base, A=drifting))
+    assert [c.name for c in report.failures()] == ["A_accepts_arrays"]
+    assert report.failures()[0].residual == pytest.approx(1e-6, rel=1e-6)
+
+
 def test_bisection_fallback_inverses():
     spec = _no_inverse_lomax()
     assert spec.A_inv is None and spec.B_inv is None
