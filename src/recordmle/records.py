@@ -12,6 +12,9 @@ until m records have occurred, is kept as :func:`sample_records_sequential`
 for cross-checking; its waiting time is heavy tailed (the index of the m-th
 record has infinite mean already at m = 2), so it runs under a hard cap on
 base draws and raises :class:`~recordmle.errors.RecordCapError` beyond it.
+It finds records on the uniforms: the quantile map is non-decreasing (A is
+increasing), so a base draw can be an upper record only if its uniform is an
+upper record of the uniforms, and only those few uniforms are mapped.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import family as fam
 from ._streams import as_generator
-from .errors import ArgumentError, RecordCapError
+from .errors import ArgumentError, DomainError, RecordCapError
 
 __all__ = [
     "Provenance",
@@ -111,14 +114,17 @@ def extract_upper_records(xs: Union[Sample, Iterable[float]]) -> RecordSequence:
     arr = np.asarray(values, dtype=float)
     if np.isnan(arr).any():
         raise ArgumentError("extract_upper_records: NaN in input")
-    cummax = np.maximum.accumulate(arr)
-    prior = np.concatenate(([-math.inf], cummax[:-1]))
-    mask = arr > prior
-    idx = np.nonzero(mask)[0]
+    idx = _record_positions(arr, -math.inf)
     return RecordSequence(
         values=tuple(arr[idx].tolist()),
         indices=tuple(idx.tolist()),
     )
+
+
+def _record_positions(arr: np.ndarray, floor: float) -> np.ndarray:
+    """Positions where ``arr`` strictly exceeds ``floor`` and every earlier entry."""
+    prior = np.maximum.accumulate(np.concatenate(([floor], arr[:-1])))
+    return np.flatnonzero(arr > prior)
 
 
 def sample_iid(spec: fam.FamilySpec, theta: float, n: int, rng_stream) -> Sample:
@@ -143,7 +149,8 @@ def sample_records_direct(
     Builds the partial sums S_i of i.i.d. exponentials with mean
     1/B(theta) and maps them back through A_inv; the S_i are exactly the
     transformed record values, so no base observations are needed.
-    Positions are synthetic (0..m-1).
+    Positions are synthetic (0..m-1). Raises
+    :class:`~recordmle.errors.DomainError` when a record overflows float64.
     """
     if m < 1:
         raise ArgumentError("sample_records_direct: m must be at least 1")
@@ -151,7 +158,13 @@ def sample_records_direct(
     b_val = float(spec.B(float(theta)))
     e = -np.log1p(-gen.random(int(m))) / b_val
     s = np.cumsum(e)
-    r = np.asarray(fam.a_inverse(spec, s), dtype=float)
+    with np.errstate(over="ignore"):
+        r = np.asarray(fam.a_inverse(spec, s), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(r))
+    if bad.size:
+        raise DomainError(
+            f"family {spec.name!r} at m={m}: record R_{bad[0] + 1} overflows float64"
+        )
     return RecordSequence(values=tuple(r.tolist()), indices=tuple(range(int(m))))
 
 
@@ -164,17 +177,23 @@ def sample_records_sequential(
 ) -> RecordSequence:
     """Simulate m upper records by drawing base observations until they occur.
 
-    Draws are consumed in growing chunks (starting at 256, doubling) so the
-    layout is deterministic given the stream. Raises
-    :class:`~recordmle.errors.RecordCapError` if ``max_draws`` base draws do
-    not contain m records. Returned positions are the true base-sequence
-    indices.
+    Uniforms are drawn in growing chunks (starting at 256, doubling to 2**20)
+    so the layout is deterministic given the stream. Records are found on the
+    uniforms: ``quantile`` is non-decreasing, as every ``FamilySpec``'s is
+    because A is increasing, so only the upper records of the uniforms go
+    through it (its domain check runs only on those). A record is a value
+    strictly above every earlier one, so a float64 tie, two uniforms mapped
+    to one value, is not; the result equals mapping every draw and
+    extracting its records. Raises :class:`~recordmle.errors.RecordCapError` if
+    ``max_draws`` base draws do not contain m records. Returned positions
+    are the true base-sequence indices.
     """
     if m < 1:
         raise ArgumentError("sample_records_sequential: m must be at least 1")
     gen = as_generator(rng_stream)
     values: list[float] = []
     indices: list[int] = []
+    cur_u = -math.inf
     cur_max = -math.inf
     offset = 0
     chunk = _FIRST_CHUNK
@@ -186,14 +205,15 @@ def sample_records_sequential(
             )
         size = min(chunk, max_draws - offset)
         u = gen.random(size)
-        x = np.asarray(fam.quantile(spec, theta, u), dtype=float)
-        cummax = np.maximum.accumulate(x)
-        prior = np.maximum(np.concatenate(([-math.inf], cummax[:-1])), cur_max)
-        hits = np.nonzero(x > prior)[0]
-        for j in hits[: m - len(values)]:
-            values.append(float(x[j]))
-            indices.append(offset + int(j))
-        cur_max = max(cur_max, float(cummax[-1]))
+        cand = np.flatnonzero(u > cur_u)
+        if cand.size:
+            cand = cand[_record_positions(u[cand], cur_u)]
+            x = np.asarray(fam.quantile(spec, theta, u[cand]), dtype=float)
+            hits = _record_positions(x, cur_max)[: m - len(values)]
+            values.extend(x[hits].tolist())
+            indices.extend((offset + cand[hits]).tolist())
+            cur_u = float(u[cand[-1]])
+            cur_max = max(cur_max, float(x.max()))
         offset += size
         chunk = min(chunk * 2, 1 << 20)
     return RecordSequence(values=tuple(values), indices=tuple(indices))

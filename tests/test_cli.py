@@ -64,6 +64,21 @@ def test_simulate_records_increasing():
     assert all(x < y for x, y in zip(seq_vals, seq_vals[1:]))
 
 
+def test_simulate_records_overflow_is_a_typed_error():
+    import hashlib
+
+    proc = run_cli("simulate", "--family", "lomax", "--theta", "1", "--records",
+                   "800", "--seed", "9", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr == "error: family 'lomax' at m=800: record R_701 overflows float64\n"
+    # the largest m that fits prints as it did before the check
+    ok = run_cli("simulate", "--family", "lomax", "--theta", "1", "--records",
+                 "700", "--seed", "9")
+    assert ok.stderr == ""
+    assert (hashlib.sha256(ok.stdout.encode("utf-8")).hexdigest()
+            == "8a25ff83927fa2873ea7eae95e3d1cd6e8b54120563af9ae2ae789a3fe4b9b9d")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from recordmle import (
     ArgumentError,
+    DomainError,
     RecordCapError,
     RecordSequence,
     Sample,
@@ -17,12 +19,14 @@ from recordmle import (
     extract_upper_records,
     ks_two_sample,
     make_exponential,
+    make_lomax,
     make_pareto,
     make_weibull,
     sample_iid,
     sample_records_direct,
     sample_records_sequential,
 )
+from recordmle import family
 from recordmle._streams import make_generator
 from recordmle.records import parse_csv_values, serialize_csv
 
@@ -146,6 +150,120 @@ def test_records_sequential_cap():
     spec = make_exponential()
     with pytest.raises(RecordCapError):
         sample_records_sequential(spec, 1.0, 8, rng_stream=(0, 0), max_draws=16)
+
+
+def _literal_sequential(spec, theta, m, gen, max_draws):
+    """The sequential sampler by definition: map every draw of each chunk
+    through the quantile, then keep the strict running-maximum records."""
+    values, indices = [], []
+    cur_max, offset, chunk = -math.inf, 0, 256
+    while len(values) < m:
+        if offset >= max_draws:
+            raise RecordCapError(
+                f"{m} records not reached within {max_draws} base draws "
+                f"({len(values)} found)"
+            )
+        size = min(chunk, max_draws - offset)
+        x = np.asarray(family.quantile(spec, theta, gen.random(size)), dtype=float)
+        cummax = np.maximum.accumulate(x)
+        prior = np.maximum(np.concatenate(([-math.inf], cummax[:-1])), cur_max)
+        for j in np.nonzero(x > prior)[0][: m - len(values)]:
+            values.append(float(x[j]))
+            indices.append(offset + int(j))
+        cur_max = max(cur_max, float(cummax[-1]))
+        offset += size
+        chunk = min(chunk * 2, 1 << 20)
+    return tuple(values), tuple(indices)
+
+
+def _outcome(sampler, *args):
+    try:
+        return sampler(*args)
+    except RecordCapError as exc:
+        return str(exc)
+
+
+def _sequential(spec, theta, m, gen, max_draws):
+    rs = sample_records_sequential(spec, theta, m, gen, max_draws=max_draws)
+    return rs.values, rs.indices
+
+
+_NO_A_INV = dataclasses.replace(make_lomax(), A_inv=None)
+
+
+@pytest.mark.parametrize(
+    "spec,seeds,max_m,cap",
+    [
+        (make_exponential(), 100, 8, 200_000),
+        (make_lomax(), 100, 8, 200_000),
+        (make_weibull(2.0), 100, 8, 200_000),
+        (make_weibull(0.5), 100, 8, 200_000),
+        (make_pareto(1.5), 100, 8, 200_000),
+        # the bisection fallback of a_inverse; the literal rule bisects every
+        # draw in Python, so fewer seeds and a lower cap
+        pytest.param(_NO_A_INV, 6, 8, 1_000, id="lomax-no-A_inv"),
+    ],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_records_sequential_matches_literal_definition(spec, seeds, max_m, cap):
+    # records found on the uniforms equal the literal rule on the mapped draws:
+    # values, indices and cap messages, with a cap cutting a chunk short on
+    # every fifth seed
+    for m in range(1, max_m + 1):
+        for seed in range(seeds):
+            max_draws = 700 if seed % 5 == 0 else cap
+            args = (spec, 1.3, m)
+            got = _outcome(_sequential, *args, make_generator(seed, m), max_draws)
+            want = _outcome(_literal_sequential, *args, make_generator(seed, m), max_draws)
+            assert got == want, (spec.name, m, seed)
+
+
+def test_records_sequential_shared_stream_matches_literal_definition():
+    # as the MC `records` source draws them: 200 sequences in turn from one
+    # generator, capped ones included, so each call leaves the stream where
+    # the literal rule would
+    spec = make_exponential()
+    ours, literal = make_generator(3, 0), make_generator(3, 0)
+    capped = 0
+    for _ in range(200):
+        got = _outcome(_sequential, spec, 1.0, 10, ours, 100_000)
+        want = _outcome(_literal_sequential, spec, 1.0, 10, literal, 100_000)
+        assert got == want
+        capped += isinstance(got, str)
+    assert 0 < capped < 200
+    assert ours.random() == literal.random()
+
+
+def test_records_sequential_strict_on_value_ties(monkeypatch):
+    # a quantile rounded to 3 significant digits stays non-decreasing but maps
+    # distinct uniforms to one value: the strict test on values, not the
+    # uniform records alone, decides which draws are records
+    exact = family.quantile
+
+    def rounded(spec, theta, u):
+        x = np.asarray(exact(spec, theta, u), dtype=float)
+        return np.array([float(f"{v:.3g}") for v in x.ravel()]).reshape(x.shape)
+
+    # at alpha = 10 neighbouring records often share 3 digits
+    spec = make_weibull(10.0)
+    cases = [(m, seed) for m in range(2, 9) for seed in range(30)]
+    unrounded = {c: _outcome(_sequential, spec, 1.0, c[0], make_generator(c[1], 0), 20_000)
+                 for c in cases}
+    monkeypatch.setattr(family, "quantile", rounded)
+    dropped = 0
+    for m, seed in cases:
+        got = _outcome(_sequential, spec, 1.0, m, make_generator(seed, 0), 20_000)
+        want = _outcome(_literal_sequential, spec, 1.0, m, make_generator(seed, 0), 20_000)
+        assert got == want, (m, seed)
+        dropped += got != unrounded[(m, seed)]
+    # the ties are real: some uniform records are not value records
+    assert dropped > 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_records_direct_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"'lomax' at m=800: record R_701 overflows"):
+        sample_records_direct(make_lomax(), 1.0, 800, rng_stream=9)
 
 
 def test_two_record_samplers_agree_in_distribution():
