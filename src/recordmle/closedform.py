@@ -22,7 +22,10 @@ any convergent target.
 Numerics: each series is one numpy pass. The log magnitudes of all terms
 come from a table of log-gamma at the integers (built with ``math.lgamma``
 and grown to the largest size seen), every term is sign * exp(log
-magnitude), and ``math.fsum`` adds the terms correctly rounded. Naive
+magnitude), and ``math.fsum`` adds the terms correctly rounded. Terms
+that underflow to 0.0, most of them at large sizes, are skipped before
+``math.fsum``, which is exact since adding +-0.0 never changes an exact sum;
+an overflowing series falls back to the IEEE sum of all its terms. Naive
 factorial evaluation overflows beyond size of about 170; the log-space
 route stays finite for all practical sizes.
 
@@ -112,14 +115,20 @@ def _signed_gamma_series(c: float, size: int, offset: int) -> float:
 
     Terms are sign(c)^i * exp(log magnitude), added correctly rounded by
     ``math.fsum``, so the alternating cancellation costs only the rounding
-    of the terms themselves. When the terms or their sum overflow float64,
-    the IEEE sum (nan or +-inf) is returned for the caller's flags to catch.
+    of the terms themselves. Terms that underflow to 0.0 are dropped after
+    the sign flip and before ``math.fsum``: adding +-0.0 leaves its exact,
+    and so its correctly rounded, sum unchanged, and an inf term still
+    makes it raise. Zeros do re-split its partials, which can move an
+    intermediate-overflow error for mixed-sign sums at the float64 limit;
+    the tests check the series there bit for bit. When the terms or their
+    sum overflow float64, the IEEE sum (nan or +-inf) of the full signed
+    array is returned for the caller's flags to catch.
     """
     terms = np.exp(_series_log_magnitudes(c, size, offset))
     if c < 0.0:
         terms[1::2] *= -1.0
     try:
-        return math.fsum(terms.tolist())
+        return math.fsum(terms[terms != 0.0].tolist())
     except (OverflowError, ValueError):
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.sum(terms))

@@ -472,7 +472,12 @@ def _block_sufficient_stats(
         # simulator's roundtrip through A_inv rather than shortcutting
         u = rng.random((count, size))
         gaps = -np.log1p(-u) / b_val
-        r_m = fam.a_inverse(spec, np.sum(gaps, axis=1))
+        with np.errstate(over="ignore"):
+            r_m = fam.a_inverse(spec, np.sum(gaps, axis=1))
+        if not np.isfinite(r_m).all():
+            raise DomainError(
+                f"family {spec.name!r} at m={size}: record R_{size} overflows float64"
+            )
         return np.asarray(spec.A(r_m), dtype=float)
     if source == "records":
         out = np.empty(count, dtype=float)
@@ -544,7 +549,9 @@ def mc_estimate(
     The configuration must carry exactly one size (callers sweep sizes by
     looping; keeping one size per report keeps the provenance of every
     number unambiguous). Replications with non-finite statistics are
-    counted as failures; more than 1% failing aborts the run.
+    counted as failures; more than 1% failing aborts the run. On the
+    ``records_direct`` source a top record that overflows float64 raises
+    :class:`~recordmle.errors.DomainError` instead.
     """
     if target not in TARGETS:
         raise ArgumentError(f"unknown target {target!r}; known: {TARGETS}")

@@ -477,6 +477,39 @@ def test_seeded_stdout_digests(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, command
 
 
+# sha256 of stdout for table sweeps to large sizes, where most series terms
+# underflow to 0.0, and for the two overflowing sweeps, whose nan rows come
+# from the IEEE-sum fallback
+_LARGE_SWEEP_STDOUT = [
+    ("table --formula E-cdf --family exponential --theta 1 --x 1 --sizes 2..2000",
+     "f2882d49d136470f8d2b5ffe952c333ef2b00301dbb305e0085edc7f02861e57"),
+    ("table --formula MSE-cdf --family lomax --theta 1.3 --x 1 --sizes 2..800",
+     "7e689fea825117443f01331745d3435c9dd0660fa1ef01d45644f4a2b2d156b0"),
+    ("table --formula MSE-pdf --family weibull:alpha=2 --theta 1 --x 0.9 --sizes 3..800",
+     "7fff4ded1e14c60c29b948a06bb9f13039b7918581f75ab3954ca4c1ec80765f"),
+    ("table --formula mse-g --theta 1 --k 0.5 --sizes 1..800",
+     "86471cddd754e6b0649282928788eebde5e90b49e93d29738670eab2e4952947"),
+    ("table --formula E-cdf --family exponential --theta 1 --x 1000 --sizes 1990..2000",
+     "9e30fbd2c9c73c7715b38c0c1e6596a9e0c5ba9a4e2ae203bc0431cb44e18cc9"),
+    ("table --formula mse-g --theta 1 --k 1e300 --sizes 1..2000",
+     "2547b18dcd5c86c3bef61c4581dd3865cd57740bc3bc09d3d457b71e94ad5d53"),
+]
+
+
+@pytest.mark.parametrize("command,digest", _LARGE_SWEEP_STDOUT,
+                         ids=["E-cdf", "MSE-cdf", "MSE-pdf", "mse-g", "E-cdf-overflow",
+                              "mse-g-overflow"])
+def test_large_sweep_stdout_digests(command, digest, capsys):
+    import hashlib
+
+    from recordmle.cli import main
+
+    assert main(command.split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # (family, theta, simulate seed, eval grid) -> sha256 of the stdout of fit,
 # fit --records and eval --what cdf-hat --data on a simulated n = 20 000 sample
 _FIT_PATH_STDOUT = [

@@ -143,6 +143,11 @@ def test_terms_used_counts():
     assert mse_pdf_hat_series(EXP, 1.0, 1.0, 9).terms_used == 7
     assert w_alpha_series(EXP, 1.0, 1.0, 9, 2.0).terms_used == 9
     assert mse_g_power_series(1.0, 9, 0.5).terms_used == 9
+    # the nominal count, though most of these terms underflow to 0.0
+    assert expected_cdf_hat_series(EXP, 1.0, 1.0, 2000).terms_used == 2000
+    assert expected_pdf_hat_series(EXP, 1.0, 1.0, 2000).terms_used == 1999
+    assert mse_pdf_hat_series(EXP, 1.0, 1.0, 2000).terms_used == 1998
+    assert mse_g_power_series(1.0, 2000, 0.5).terms_used == 2000
 
 
 def test_series_value_is_frozen():
@@ -251,6 +256,56 @@ def _mp_terms(c, size, offset):
             term = term * c / ((i + 1) * (size - i - offset - 1))
             terms.append(term)
         return terms
+
+
+def _sum_of_all_terms(c, size, offset):
+    """math.fsum over every signed term, zeros included, and the IEEE sum of
+    the same array when it overflows."""
+    with np.errstate(over="ignore"):
+        terms = np.exp(_series_log_magnitudes(c, size, offset))
+    if c < 0.0:
+        terms[1::2] *= -1.0
+    try:
+        return math.fsum(terms.tolist())
+    except (OverflowError, ValueError):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(terms))
+
+
+def test_core_series_skips_only_zeros_bit_for_bit():
+    # c = -size B A for the table sweeps and c = alpha size theta ln k for
+    # the power target (theta 1, k 0.5 and e, alpha 1 and 2)
+    sizes = list(range(1, 61)) + [200, 500, 1000, 2000]
+    for size in sizes:
+        cs = [-size * ba for ba in (0.01, 0.3, 0.9, 1.5, 5.0)]
+        cs += [alpha * size * math.log(k) for alpha in (1, 2) for k in (0.5, math.e)]
+        for offset in range(min(3, size)):
+            for c in cs:
+                got = _signed_gamma_series(c, size, offset)
+                want = _sum_of_all_terms(c, size, offset)
+                assert got.hex() == want.hex(), (c, size, offset)
+
+
+@pytest.mark.parametrize("size", [10, 60, 200, 1000, 2000])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_core_series_near_float64_limit_bit_for_bit(size, sign):
+    # math.fsum raises on intermediate overflow, and dropping zeros re-splits
+    # its partials; at peak terms near and past the float64 limit the value,
+    # nan or inf included, is still that of the sum over every term
+    for offset in range(3):
+        for peak in (700.0, 709.0, 709.7, 709.78, 710.0, 720.0):
+            lo, hi = 1e-3, 1e300 / size
+            for _ in range(80):
+                mid = math.sqrt(lo * hi)
+                if _series_log_magnitudes(sign * size * mid, size, offset).max() < peak:
+                    lo = mid
+                else:
+                    hi = mid
+            c = sign * size * lo
+            assert _series_log_magnitudes(c, size, offset).max() > peak - 1e-6
+            with np.errstate(over="ignore"):
+                got = _signed_gamma_series(c, size, offset)
+            assert got.hex() == _sum_of_all_terms(c, size, offset).hex(), (c, offset)
 
 
 @pytest.mark.parametrize("size", [500, 1000, 2000])

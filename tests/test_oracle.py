@@ -299,6 +299,17 @@ def test_mc_estimate_divergent_target_flagged():
     assert d["series_value"]["regime_note"] == "truncation_suspect"
 
 
+@pytest.mark.filterwarnings("error")
+def test_mc_records_direct_overflow_is_a_domain_error():
+    # lomax A_inv overflows float64 past m = 700, as in the direct sampler
+    cfg = ExperimentConfig("lomax", 1.0, (800,), reps=100, seed=1)
+    with pytest.raises(DomainError, match=r"'lomax' at m=800: record R_800 overflows"):
+        mc_estimate(cfg, "MSE_theta_hat", "records_direct")
+    rep = mc_estimate(ExperimentConfig("lomax", 1.0, (600,), reps=100, seed=1),
+                      "MSE_theta_hat", "records_direct")
+    assert rep.failures == 0
+
+
 @pytest.mark.parametrize("source", ["sample", "records_direct"])
 @pytest.mark.parametrize("target", oracle_mod.TARGETS)
 def test_mc_estimate_every_target_agrees_with_quadrature(target, source):
