@@ -122,15 +122,16 @@ def _signed_gamma_series(c: float, size: int, offset: int) -> float:
     intermediate-overflow error for mixed-sign sums at the float64 limit;
     the tests check the series there bit for bit. When the terms or their
     sum overflow float64, the IEEE sum (nan or +-inf) of the full signed
-    array is returned for the caller's flags to catch.
+    array is returned, without a floating-point warning, for the caller's
+    flags to catch.
     """
-    terms = np.exp(_series_log_magnitudes(c, size, offset))
-    if c < 0.0:
-        terms[1::2] *= -1.0
-    try:
-        return math.fsum(terms[terms != 0.0].tolist())
-    except (OverflowError, ValueError):
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(_series_log_magnitudes(c, size, offset))
+        if c < 0.0:
+            terms[1::2] *= -1.0
+        try:
+            return math.fsum(terms[terms != 0.0].tolist())
+        except (OverflowError, ValueError):
             return float(np.sum(terms))
 
 

@@ -66,6 +66,7 @@ __all__ = [
 _ROUNDTRIP_TOL = 1e-9
 _DERIVATIVE_TOL = 1e-6
 _INVERT_TOL = 1e-12
+_GRID_SIZE = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -368,7 +369,7 @@ def _array_check(spec: FamilySpec, xs: np.ndarray) -> CheckResult:
     )
 
 
-def validate_family(spec: FamilySpec, grid_size: int = 64) -> ValidationReport:
+def validate_family(spec: FamilySpec) -> ValidationReport:
     """Run every family invariant on deterministic grids.
 
     Checks, in order: A strictly increasing; A zero at the lower endpoint
@@ -380,10 +381,8 @@ def validate_family(spec: FamilySpec, grid_size: int = 64) -> ValidationReport:
     output is reported as a failure of the corresponding check, not
     raised.
     """
-    if grid_size < 8:
-        raise ArgumentError("validate_family: grid_size must be at least 8")
     checks: list[CheckResult] = []
-    s = (np.arange(grid_size) + 0.5) / grid_size
+    s = (np.arange(_GRID_SIZE) + 0.5) / _GRID_SIZE
     xs = _to_interval(s, spec.support_lo, spec.support_hi)
     thetas = _to_interval(s, *spec.theta_domain)
 

@@ -6,10 +6,15 @@ law with shape equal to the count and rate B(theta). Every quantity the
 series module approximates is therefore an expectation of some h(T), which
 this module evaluates two independent ways:
 
-* adaptive quadrature of h against the gamma density, exact up to a stated
-  tolerance (:func:`expect_over_gamma` and the ``exact_*`` wrappers);
+* adaptive quadrature of h against the gamma density to absolute
+  tolerance 1e-10 (:func:`expect_over_gamma` and the ``exact_*`` wrappers);
 * a deterministic, replayable Monte Carlo engine that simulates the actual
   estimators (:func:`mc_estimate`).
+
+The four plug-in estimators, theta_hat = B_inv(size/T), g(theta_hat) =
+k**theta_hat, F_hat(x) and f_hat(x), are each stated once, as a map of the
+T array and its true value (``_estimator``); the moment targets, the raw
+statistic arrays and the consistency curve all draw on that one table.
 
 Neither route shares code with the series evaluation, so agreement between
 the three is evidence, not tautology. Targets whose exact expectation does
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -68,15 +73,14 @@ SOURCES = ("sample", "records_direct", "records")
 
 _BLOCK = 4096
 _MAX_FAILURE_FRACTION = 0.01
+_QUAD_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
 # quadrature against the gamma law of T
 
 
-def expect_over_gamma(
-    h: Callable[[float], float], size: int, rate: float, tol: float = 1e-10
-) -> QuadResult:
+def expect_over_gamma(h: Callable[[float], float], size: int, rate: float) -> QuadResult:
     """E[h(T)] for T gamma with integer shape ``size`` and rate ``rate``.
 
     The half line is mapped onto s in (0, 1) by t = (size/rate) s / (1-s):
@@ -114,7 +118,7 @@ def expect_over_gamma(
             hv = math.inf
         return hv * weight
 
-    return integrate_unit_interval(integrand, tol=tol)
+    return integrate_unit_interval(integrand, tol=_QUAD_TOL)
 
 
 def _require_convergent(result: QuadResult, what: str) -> float:
@@ -125,13 +129,12 @@ def _require_convergent(result: QuadResult, what: str) -> float:
     return result.value
 
 
-def exact_expected_cdf_hat(
-    spec: fam.FamilySpec, theta: float, x: float, size: int, tol: float = 1e-10
-) -> float:
+def exact_expected_cdf_hat(spec: fam.FamilySpec, theta: float, x: float, size: int) -> float:
     """Exact mean of the plug-in CDF estimate: 1 - E[exp(-size A(x)/T)].
 
     The integrand is bounded, so this target always converges; the result
-    is clamped to [0, 1] against quadrature roundoff at the scale of tol.
+    is clamped to [0, 1] against quadrature roundoff at the scale of the
+    1e-10 tolerance.
     """
     b_val, a_val, _ = fam.point_constants(spec, theta, x)
     c = int(size) * a_val
@@ -139,15 +142,11 @@ def exact_expected_cdf_hat(
     def h(t: float) -> float:
         return math.exp(-c / t) if t > 0.0 else 0.0
 
-    value = _require_convergent(
-        expect_over_gamma(h, size, b_val, tol), "exact_expected_cdf_hat"
-    )
+    value = _require_convergent(expect_over_gamma(h, size, b_val), "exact_expected_cdf_hat")
     return min(1.0, max(0.0, 1.0 - value))
 
 
-def exact_expected_pdf_hat(
-    spec: fam.FamilySpec, theta: float, x: float, size: int, tol: float = 1e-10
-) -> float:
+def exact_expected_pdf_hat(spec: fam.FamilySpec, theta: float, x: float, size: int) -> float:
     """Exact mean of the plug-in density estimate.
 
     E[A'(x) (size/T) exp(-size A(x)/T)]; converges whenever A(x) > 0 (the
@@ -161,15 +160,11 @@ def exact_expected_pdf_hat(
     def h(t: float) -> float:
         return ap_val * (int(size) / t) * math.exp(-c / t)
 
-    value = _require_convergent(
-        expect_over_gamma(h, size, b_val, tol), "exact_expected_pdf_hat"
-    )
+    value = _require_convergent(expect_over_gamma(h, size, b_val), "exact_expected_pdf_hat")
     return max(0.0, value)
 
 
-def exact_mse_cdf_hat(
-    spec: fam.FamilySpec, theta: float, x: float, size: int, tol: float = 1e-10
-) -> float:
+def exact_mse_cdf_hat(spec: fam.FamilySpec, theta: float, x: float, size: int) -> float:
     """Exact MSE of the plug-in CDF estimate.
 
     Assembled from the two exact exponential moments,
@@ -185,15 +180,13 @@ def exact_mse_cdf_hat(
     def h2(t: float) -> float:
         return math.exp(-2.0 * c / t)
 
-    e1 = _require_convergent(expect_over_gamma(h1, size, b_val, tol), "exact_mse_cdf_hat")
-    e2 = _require_convergent(expect_over_gamma(h2, size, b_val, tol), "exact_mse_cdf_hat")
+    e1 = _require_convergent(expect_over_gamma(h1, size, b_val), "exact_mse_cdf_hat")
+    e2 = _require_convergent(expect_over_gamma(h2, size, b_val), "exact_mse_cdf_hat")
     ba = b_val * a_val
     return max(0.0, e2 - 2.0 * math.exp(-ba) * e1 + math.exp(-2.0 * ba))
 
 
-def exact_mse_pdf_hat(
-    spec: fam.FamilySpec, theta: float, x: float, size: int, tol: float = 1e-10
-) -> float:
+def exact_mse_pdf_hat(spec: fam.FamilySpec, theta: float, x: float, size: int) -> float:
     """Exact MSE of the plug-in density estimate.
 
     Single quadrature of the nonnegative integrand
@@ -207,15 +200,11 @@ def exact_mse_pdf_hat(
     def h(t: float) -> float:
         return (ap_val * (int(size) / t) * math.exp(-c / t) - f_true) ** 2
 
-    value = _require_convergent(
-        expect_over_gamma(h, size, b_val, tol), "exact_mse_pdf_hat"
-    )
+    value = _require_convergent(expect_over_gamma(h, size, b_val), "exact_mse_pdf_hat")
     return max(0.0, value)
 
 
-def exact_mse_theta_hat(
-    spec: fam.FamilySpec, theta: float, size: int, tol: float = 1e-10
-) -> float:
+def exact_mse_theta_hat(spec: fam.FamilySpec, theta: float, size: int) -> float:
     """Exact MSE of the parameter MLE: E[(B_inv(size/T) - theta)^2]."""
     theta = fam._check_theta(spec, theta)
     b_val = float(spec.B(theta))
@@ -223,15 +212,11 @@ def exact_mse_theta_hat(
     def h(t: float) -> float:
         return (float(fam.b_inverse(spec, int(size) / t)) - theta) ** 2
 
-    value = _require_convergent(
-        expect_over_gamma(h, size, b_val, tol), "exact_mse_theta_hat"
-    )
+    value = _require_convergent(expect_over_gamma(h, size, b_val), "exact_mse_theta_hat")
     return max(0.0, value)
 
 
-def exact_mse_g_power(
-    theta: float, n: int, k: float, tol: float = 1e-10
-) -> QuadResult:
+def exact_mse_g_power(theta: float, n: int, k: float) -> QuadResult:
     """Quadrature MSE of k**theta_hat in the rate parametrization B = theta.
 
     Returns the raw :class:`QuadResult`: for k > 1 the integrand grows like
@@ -257,7 +242,7 @@ def exact_mse_g_power(
             return math.inf
         return (math.exp(z) - g_true) ** 2
 
-    return expect_over_gamma(h, n, theta, tol)
+    return expect_over_gamma(h, n, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +263,6 @@ class ExperimentConfig:
     x_grid: tuple[float, ...] = ()
     reps: int = 1000
     seed: int = 0
-    quad_tol: float = 1e-10
     g_k: float = math.e
 
     def __post_init__(self):
@@ -293,9 +277,6 @@ class ExperimentConfig:
         object.__setattr__(self, "reps", int(self.reps))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "quad_tol", float(self.quad_tol))
-        if not (0.0 < self.quad_tol <= 1e-4):
-            raise ArgumentError("ExperimentConfig: quad_tol must be in (0, 1e-4]")
         object.__setattr__(self, "g_k", float(self.g_k))
 
     def resolve(self) -> fam.FamilySpec:
@@ -307,8 +288,8 @@ class MomentReport:
     """Three-way view of one moment target under one configuration.
 
     ``series_value`` is None when the target has no closed series for the
-    configuration; ``quad_value`` and ``quad_error_bound`` are None when
-    the exact integral diverges (then ``quad_divergent`` is True).
+    configuration; ``quad_value`` is None when the exact integral diverges
+    (then ``quad_divergent`` is True).
     """
 
     target: str
@@ -319,126 +300,100 @@ class MomentReport:
     config: ExperimentConfig
     series_value: Optional[closedform.SeriesValue] = None
     quad_value: Optional[float] = None
-    quad_error_bound: Optional[float] = None
     quad_divergent: bool = False
 
-    def to_json_dict(self) -> dict:
-        sv = self.series_value
-        return {
-            "target": self.target,
-            "series_value": None
-            if sv is None
-            else {
-                "value": sv.value,
-                "terms_used": sv.terms_used,
-                "in_natural_bounds": sv.in_natural_bounds,
-                "regime_note": sv.regime_note,
-            },
-            "quad_value": self.quad_value,
-            "quad_error_bound": self.quad_error_bound,
-            "quad_divergent": self.quad_divergent,
-            "mc_value": self.mc_value,
-            "mc_stderr": self.mc_stderr,
-            "reps": self.reps,
-            "failures": self.failures,
-            "config": asdict(self.config),
-        }
+
+_POINT_ESTIMATORS = ("cdf_hat", "pdf_hat")
+
+
+def _estimator(
+    name: str, spec: fam.FamilySpec, theta: float, x: Optional[float], size: int,
+    k: Optional[float],
+) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """Plug-in estimator ``name`` as a map of the T array, and its true value.
+
+    ``theta_hat`` is B_inv(size/T) through :func:`family.b_inverse`;
+    ``g_hat`` is k**theta_hat; ``cdf_hat`` and ``pdf_hat`` are the plug-in
+    cdf and density at x. The MC engine applies the map block by block, so
+    every statistic keeps one operation order and its values their bits.
+    """
+    if name in _POINT_ESTIMATORS:
+        if x is None:
+            raise ArgumentError("point targets need exactly one evaluation point in x_grid")
+        b_val, a_val, ap_val = fam.point_constants(spec, theta, x)
+        if name == "pdf_hat":
+            return (lambda t: ap_val * (size / t) * np.exp(-(size / t) * a_val),
+                    ap_val * b_val * math.exp(-b_val * a_val))
+        return lambda t: -np.expm1(-(size / t) * a_val), -math.expm1(-b_val * a_val)
+    if name == "theta_hat":
+        return lambda t: fam.b_inverse(spec, size / t), theta
+    if name == "g_hat":
+        if not (k > 0.0) or k == 1.0:
+            raise ArgumentError("MSE_g_hat needs g_k positive and not 1")
+        return lambda t: k ** fam.b_inverse(spec, size / t), k**theta
+    raise ArgumentError(f"unknown statistic {name!r}")
 
 
 @dataclass(frozen=True, slots=True)
 class Target:
     """One moment target: its ``table --formula`` name and three routes.
 
-    Each route takes ``(spec, theta, x, size, k)``; x is read only when
+    The routes take ``(spec, theta, x, size, k)``; x is read only when
     ``needs_x``, k is the base of the power target. ``series`` gives the
     truncated :class:`closedform.SeriesValue` (None: no series for a general
-    family); ``exact``, also given the quadrature tolerance, gives (value,
-    error bound) or raises :class:`DivergenceError`; ``statistic`` gives the
-    per-replication transform of T, whose MC value is its mean (``kind``
-    "mean") or the mean of its square ("mse": the transform is the error).
-    The lambdas look closedform functions up at call time, so wrappers set
-    on that module (the benchmark's tracing) see the calls.
+    family); ``exact`` gives the quadrature value or raises
+    :class:`DivergenceError`. The MC route simulates the plug-in
+    ``estimator`` of the ``_estimator`` table: its MC value is the mean of
+    the estimator (``kind`` "mean") or of its squared error against the true
+    value ("mse"). The lambdas look closedform functions up at call time,
+    so wrappers set on that module (the benchmark's tracing) see the calls.
     """
 
     name: str
     formula: str
-    needs_x: bool
+    estimator: str
     kind: str
     series: Optional[Callable[..., closedform.SeriesValue]]
-    exact: Callable[..., tuple[float, float]]
-    statistic: Callable[..., Callable[[np.ndarray], np.ndarray]]
+    exact: Callable[..., float]
+
+    @property
+    def needs_x(self) -> bool:
+        return self.estimator in _POINT_ESTIMATORS
 
 
-def _point_statistic(pdf: bool, mse: bool) -> Callable:
-    """Plug-in cdf (or pdf) at x from T; with ``mse``, its error against the truth."""
+def _exact_mse_g(spec, theta, x, size, k) -> float:
+    """Quadrature of the power target, which is that of the rate parametrization.
 
-    def make(spec, theta, x, size, k):
-        if x is None:
-            raise ArgumentError("point targets need exactly one evaluation point in x_grid")
-        b_val, a_val, ap_val = fam.point_constants(spec, theta, x)
-        if pdf:
-            truth = ap_val * b_val * math.exp(-b_val * a_val)
-            est = lambda t: ap_val * (size / t) * np.exp(-(size / t) * a_val)
-        else:
-            truth = -math.expm1(-b_val * a_val)
-            est = lambda t: -np.expm1(-(size / t) * a_val)
-        return (lambda t: est(t) - truth) if mse else est
-
-    return make
-
-
-def _point_exact(exact: Callable) -> Callable:
-    return lambda spec, theta, x, size, k, tol: (exact(spec, theta, x, size, tol), tol)
-
-
-def _theta_hat_error(spec, theta, x, size, k) -> Callable:
-    th = _theta_hat_transform(spec, size)
-    return lambda t: th(t) - theta
-
-
-def _g_hat_error(spec, theta, x, size, k) -> Callable:
-    """Error of k**theta_hat against k**theta, with theta_hat the family's MLE.
-
-    The series and quadrature of this target are those of the rate
-    parametrization (B(theta) = theta), so they referee the MC only for such
-    a family. For one with B(theta) != theta the MC still simulates that
-    family's theta_hat: exponential (B = 1/theta), theta = 1.3, n = 12,
-    k = 0.5, 1e5 replications, seed 5 gives 0.010854 +- 4.7e-5 against
-    quadrature 0.011030. Which referee is right there is a spec decision.
+    The series and quadrature of this target take B(theta) = theta, so they
+    referee the MC only for such a family. For one with B(theta) != theta
+    the MC still simulates that family's theta_hat: exponential (B =
+    1/theta), theta = 1.3, n = 12, k = 0.5, 1e5 replications, seed 5 gives
+    0.010854 +- 4.7e-5 against quadrature 0.011030. Which referee is right
+    there is a spec decision.
     """
-    if not (k > 0.0) or k == 1.0:
-        raise ArgumentError("MSE_g_hat needs g_k positive and not 1")
-    th = _theta_hat_transform(spec, size)
-    g_true = k**theta
-    return lambda t: k ** th(t) - g_true
-
-
-def _g_exact(spec, theta, x, size, k, tol) -> tuple[float, float]:
-    result = exact_mse_g_power(theta, size, k, tol)
-    return _require_convergent(result, "exact_mse_g_power"), result.error_bound
+    return _require_convergent(exact_mse_g_power(theta, size, k), "exact_mse_g_power")
 
 
 # MSE_theta_hat has a closed form only family by family; its table formula
 # alpha-n is the exponential member's theta^2 / n
 REGISTRY = {t.name: t for t in (
-    Target("E_cdf_hat", "E-cdf", True, "mean",
+    Target("E_cdf_hat", "E-cdf", "cdf_hat", "mean",
            lambda s, th, x, n, k: closedform.expected_cdf_hat_series(s, th, x, n),
-           _point_exact(exact_expected_cdf_hat), _point_statistic(pdf=False, mse=False)),
-    Target("E_pdf_hat", "E-pdf", True, "mean",
+           lambda s, th, x, n, k: exact_expected_cdf_hat(s, th, x, n)),
+    Target("E_pdf_hat", "E-pdf", "pdf_hat", "mean",
            lambda s, th, x, n, k: closedform.expected_pdf_hat_series(s, th, x, n),
-           _point_exact(exact_expected_pdf_hat), _point_statistic(pdf=True, mse=False)),
-    Target("MSE_cdf_hat", "MSE-cdf", True, "mse",
+           lambda s, th, x, n, k: exact_expected_pdf_hat(s, th, x, n)),
+    Target("MSE_cdf_hat", "MSE-cdf", "cdf_hat", "mse",
            lambda s, th, x, n, k: closedform.mse_cdf_hat_series(s, th, x, n),
-           _point_exact(exact_mse_cdf_hat), _point_statistic(pdf=False, mse=True)),
-    Target("MSE_pdf_hat", "MSE-pdf", True, "mse",
+           lambda s, th, x, n, k: exact_mse_cdf_hat(s, th, x, n)),
+    Target("MSE_pdf_hat", "MSE-pdf", "pdf_hat", "mse",
            lambda s, th, x, n, k, **kw: closedform.mse_pdf_hat_series(s, th, x, n, **kw),
-           _point_exact(exact_mse_pdf_hat), _point_statistic(pdf=True, mse=True)),
-    Target("MSE_theta_hat", "alpha-n", False, "mse", None,
-           lambda s, th, x, n, k, tol: (exact_mse_theta_hat(s, th, n, tol), tol),
-           _theta_hat_error),
-    Target("MSE_g_hat", "mse-g", False, "mse",
+           lambda s, th, x, n, k: exact_mse_pdf_hat(s, th, x, n)),
+    Target("MSE_theta_hat", "alpha-n", "theta_hat", "mse", None,
+           lambda s, th, x, n, k: exact_mse_theta_hat(s, th, n)),
+    Target("MSE_g_hat", "mse-g", "g_hat", "mse",
            lambda s, th, x, n, k: closedform.mse_g_power_series(th, n, k),
-           _g_exact, _g_hat_error),
+           _exact_mse_g),
 )}
 TARGETS = tuple(REGISTRY)
 
@@ -479,16 +434,15 @@ def _block_sufficient_stats(
                 f"family {spec.name!r} at m={size}: record R_{size} overflows float64"
             )
         return np.asarray(spec.A(r_m), dtype=float)
-    if source == "records":
-        out = np.empty(count, dtype=float)
-        for j in range(count):
-            try:
-                rs = sample_records_sequential(spec, theta, size, rng)
-                out[j] = float(spec.A(rs.values[-1]))
-            except RecordCapError:
-                out[j] = math.nan
-        return out
-    raise ArgumentError(f"unknown estimator source {source!r}; known: {SOURCES}")
+    # "records": the literal sequential sampler
+    out = np.empty(count, dtype=float)
+    for j in range(count):
+        try:
+            rs = sample_records_sequential(spec, theta, size, rng)
+            out[j] = float(spec.A(rs.values[-1]))
+        except RecordCapError:
+            out[j] = math.nan
+    return out
 
 
 def _mc_stat_array(
@@ -507,6 +461,8 @@ def _mc_stat_array(
     Blocks are computed possibly in parallel but concatenated in block
     order, so the output never depends on the worker count.
     """
+    if source not in SOURCES:
+        raise ArgumentError(f"unknown estimator source {source!r}; known: {SOURCES}")
     if reps < 1:
         raise ArgumentError("reps must be positive")
     workers = max(1, int(workers))
@@ -528,18 +484,6 @@ def _mc_stat_array(
     return np.concatenate(parts)
 
 
-def _theta_hat_transform(spec: fam.FamilySpec, size: int) -> Callable:
-    b_inv = spec.B_inv
-
-    def transform(t_vals: np.ndarray) -> np.ndarray:
-        rate_hat = size / t_vals
-        if b_inv is not None:
-            return np.asarray(b_inv(rate_hat), dtype=float)
-        return np.array([float(fam.b_inverse(spec, r)) for r in rate_hat])
-
-    return transform
-
-
 def mc_estimate(
     config: ExperimentConfig, target: str, source: str, workers: int = 1
 ) -> MomentReport:
@@ -555,8 +499,6 @@ def mc_estimate(
     """
     if target not in TARGETS:
         raise ArgumentError(f"unknown target {target!r}; known: {TARGETS}")
-    if source not in SOURCES:
-        raise ArgumentError(f"unknown estimator source {source!r}; known: {SOURCES}")
     if len(config.sizes) != 1:
         raise ArgumentError(
             "mc_estimate: config.sizes must hold exactly one size per call"
@@ -566,7 +508,8 @@ def mc_estimate(
     size = config.sizes[0]
     x = config.x_grid[0] if len(config.x_grid) == 1 else None
     args = (spec, config.theta, x, size, config.g_k)
-    transform = entry.statistic(*args)
+    estimate, truth = _estimator(entry.estimator, *args)
+    transform = estimate if entry.kind == "mean" else (lambda t: estimate(t) - truth)
     ys = _mc_stat_array(
         spec, config.theta, size, config.reps, config.seed, source, transform, workers
     )
@@ -585,10 +528,9 @@ def mc_estimate(
     var = float(np.sum(stat * stat) / n_ok) - mc_value * mc_value
     mc_stderr = math.sqrt(max(0.0, var) / (n_ok - 1)) if n_ok > 1 else 0.0
     try:
-        quad_value, quad_bound = entry.exact(*args, config.quad_tol)
-        diverged = False
+        quad_value, diverged = entry.exact(*args), False
     except DivergenceError:
-        quad_value, quad_bound, diverged = None, None, True
+        quad_value, diverged = None, True
     try:
         series = None if entry.series is None else entry.series(*args)
     except ArgumentError:
@@ -602,7 +544,6 @@ def mc_estimate(
         config=config,
         series_value=series,
         quad_value=quad_value,
-        quad_error_bound=quad_bound,
         quad_divergent=diverged,
     )
 
@@ -638,24 +579,17 @@ def mc_statistic_array(
 ) -> np.ndarray:
     """Raw per-replication estimator values (no aggregation).
 
-    ``statistic`` is ``"theta_hat"`` or ``"cdf_hat"``; the latter needs one
-    evaluation point in ``x_grid``. Used by the distributional-identity and
-    consistency checks, which need whole empirical laws rather than
-    moments.
+    ``statistic`` is ``"theta_hat"``, ``"g_hat"``, ``"cdf_hat"`` or
+    ``"pdf_hat"``; the last two need one evaluation point in ``x_grid``.
+    Used by the distributional-identity and consistency checks, which need
+    whole empirical laws rather than moments.
     """
-    if source not in SOURCES:
-        raise ArgumentError(f"unknown estimator source {source!r}; known: {SOURCES}")
     if len(config.sizes) != 1:
         raise ArgumentError("mc_statistic_array: exactly one size per call")
     spec = config.resolve()
     size = config.sizes[0]
-    if statistic == "theta_hat":
-        transform = _theta_hat_transform(spec, size)
-    elif statistic == "cdf_hat":
-        x = config.x_grid[0] if len(config.x_grid) == 1 else None
-        transform = REGISTRY["E_cdf_hat"].statistic(spec, config.theta, x, size, config.g_k)
-    else:
-        raise ArgumentError(f"unknown statistic {statistic!r}")
+    x = config.x_grid[0] if len(config.x_grid) == 1 else None
+    transform, _ = _estimator(statistic, spec, config.theta, x, size, config.g_k)
     return _mc_stat_array(
         spec, config.theta, size, config.reps, config.seed, source, transform, workers
     )
@@ -684,7 +618,7 @@ def consistency_curve(
         raise ArgumentError("consistency_curve: sizes must be strictly increasing")
     out: list[tuple[int, float]] = []
     for idx, size in enumerate(sizes):
-        transform = _theta_hat_transform(spec, size)
+        transform, _ = _estimator("theta_hat", spec, theta, None, size, None)
         theta_hats = _mc_stat_array(
             spec,
             theta,

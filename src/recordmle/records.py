@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from ._streams import as_generator
 from .errors import ArgumentError, DomainError, RecordCapError
 
 __all__ = [
-    "Provenance",
     "Sample",
     "RecordSequence",
     "extract_upper_records",
@@ -46,20 +45,10 @@ _FIRST_CHUNK = 256
 
 
 @dataclass(frozen=True, slots=True)
-class Provenance:
-    """Where a sample came from: observed data or a seeded simulation."""
-
-    kind: str  # "observed" or "simulated"
-    seed: Optional[int] = None
-    stream: Optional[int] = None
-
-
-@dataclass(frozen=True, slots=True)
 class Sample:
     """An i.i.d. sample of base observations."""
 
     values: tuple[float, ...]
-    provenance: Provenance = Provenance("observed")
 
     def __post_init__(self):
         if len(self.values) == 0:
@@ -138,7 +127,7 @@ def sample_iid(spec: fam.FamilySpec, theta: float, n: int, rng_stream) -> Sample
     gen = as_generator(rng_stream)
     u = gen.random(int(n))
     x = np.asarray(fam.quantile(spec, theta, u), dtype=float)
-    return Sample(values=tuple(x.tolist()), provenance=_provenance(rng_stream))
+    return Sample(values=tuple(x.tolist()))
 
 
 def sample_records_direct(
@@ -217,14 +206,6 @@ def sample_records_sequential(
         offset += size
         chunk = min(chunk * 2, 1 << 20)
     return RecordSequence(values=tuple(values), indices=tuple(indices))
-
-
-def _provenance(rng_stream) -> Provenance:
-    if isinstance(rng_stream, (int, np.integer)):
-        return Provenance("simulated", int(rng_stream), 0)
-    if isinstance(rng_stream, tuple) and len(rng_stream) == 2:
-        return Provenance("simulated", int(rng_stream[0]), int(rng_stream[1]))
-    return Provenance("simulated")
 
 
 # ---------------------------------------------------------------------------

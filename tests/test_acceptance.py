@@ -127,8 +127,8 @@ def test_criterion_4_bias_vanishes_with_size():
     start = time.monotonic()
     x = math.log(2.0)  # F(x) = 0.5 and f(x) = 0.5 at theta = 1
     sizes = (2, 5, 20, 100)
-    cdf_gaps = [abs(exact_expected_cdf_hat(EXP, 1.0, x, s, 1e-10) - 0.5) for s in sizes]
-    pdf_gaps = [abs(exact_expected_pdf_hat(EXP, 1.0, x, s, 1e-10) - 0.5) for s in sizes]
+    cdf_gaps = [abs(exact_expected_cdf_hat(EXP, 1.0, x, s) - 0.5) for s in sizes]
+    pdf_gaps = [abs(exact_expected_pdf_hat(EXP, 1.0, x, s) - 0.5) for s in sizes]
     elapsed = time.monotonic() - start
     ok = (
         all(b < a for a, b in zip(cdf_gaps, cdf_gaps[1:]))

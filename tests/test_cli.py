@@ -1,27 +1,59 @@
-"""End-to-end CLI behavior through real subprocesses."""
+"""End-to-end CLI behavior.
+
+``run_cli`` runs ``recordmle.cli.main`` in this process and captures what a
+``python -m recordmle`` subprocess would show: stdout, stderr with every
+warning appended as the interpreter would print it, and the exit code.
+``test_python_m_entry_point`` runs the real subprocess.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 
 def run_cli(*argv, expect=0):
-    proc = subprocess.run(
-        [sys.executable, "-m", "recordmle", *argv],
-        capture_output=True,
-        text=True,
-        timeout=120,
+    from recordmle.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors and --version
+            code = 0 if exc.code is None else exc.code
+    stderr = err.getvalue() + "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+        for w in caught
     )
+    proc = subprocess.CompletedProcess(argv, code, out.getvalue(), stderr)
     assert proc.returncode == expect, (
         f"exit {proc.returncode} != {expect}\nstdout: {proc.stdout[:500]}"
         f"\nstderr: {proc.stderr[:500]}"
     )
     return proc
+
+
+def test_python_m_entry_point():
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "recordmle", *argv],
+                              capture_output=True, text=True, timeout=120)
+
+    ok = run("--version")
+    assert ok.returncode == 0
+    assert ok.stdout.strip().endswith("0.1.0")
+    bad = run("simulate", "--family", "gamma", "--theta", "1", "--n", "3", "--seed", "1")
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert bad.stderr.startswith("error:")
 
 
 def test_families_listing():

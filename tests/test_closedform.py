@@ -91,6 +91,15 @@ def test_no_overflow_at_size_500():
         assert max(mags) < math.log(1e300)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_series_is_flagged_without_a_warning():
+    # at size 2000 and A(x) = 1000 the terms overflow float64; the flagged
+    # nan is the signal, so numpy must not also print an overflow warning
+    sv = expected_cdf_hat_series(EXP, 1.0, 1000.0, 2000)
+    assert math.isnan(sv.value)
+    assert not sv.in_natural_bounds
+    assert sv.regime_note == TRUNCATION_SUSPECT
+
 @pytest.mark.parametrize(
     "spec",
     [make_exponential(), make_lomax(), make_weibull(2.0), make_pareto(1.5)],

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 
 import mpmath
@@ -294,7 +296,7 @@ def test_mc_estimate_divergent_target_flagged():
     assert rep.quad_divergent
     assert rep.quad_value is None
     assert rep.series_value is not None
-    d = rep.to_json_dict()
+    d = dataclasses.asdict(rep)
     assert d["quad_divergent"] is True
     assert d["series_value"]["regime_note"] == "truncation_suspect"
 
@@ -355,12 +357,57 @@ def test_experiment_config_validation():
         ExperimentConfig(family="exponential", theta=1.0, sizes=(0,))
     with pytest.raises(ArgumentError):
         ExperimentConfig(family="exponential", theta=1.0, sizes=(5,), reps=10)
-    with pytest.raises(ArgumentError):
-        ExperimentConfig(family="exponential", theta=1.0, sizes=(5,), quad_tol=1.0)
     cfg = ExperimentConfig(family="lomax", theta=2.0, sizes=[3], reps=150.0)
     assert cfg.sizes == (3,) and cfg.reps == 150
     assert cfg.resolve().name == "lomax"
 
+
+# ---------------------------------------------------------------------------
+# bit-for-bit pins of the MC engine: every statistic keeps its operation
+# order, so a refactor of the targets must leave these digests unchanged
+
+_PIN_CFG = ExperimentConfig("weibull:alpha=2", 1.3, (8,), (0.9,), reps=5000, g_k=0.5)
+_ARRAY_SHA256 = {
+    ("theta_hat", "sample"):
+        "de7fb084dfe6de46f40fe3aa4e27017b2f20dc2d9c6d4ebc90baa23a054ba374",
+    ("theta_hat", "records_direct"):
+        "8994be25c6389f7d93e40102301ec07a2543c0b7f1e091128c11876cdbd1f54f",
+    ("cdf_hat", "sample"):
+        "fd6699ad1d2d1c1cd2e3e6a108a34d58a2d8d3ba61c9050fa3fe9f4ab549f221",
+    ("cdf_hat", "records_direct"):
+        "e98b9a509e5fbcbf16f4e3231dec03f4b7dbec7e217b9b4836b716a2a21de27e",
+}
+# (mc_value.hex(), mc_stderr.hex()) per (target, source)
+_MC_HEX = {
+    ("E_cdf_hat", "sample"): ("0x1.57cb7df889bd9p-1", "0x1.ca6ce9dd94f3dp-10"),
+    ("E_pdf_hat", "sample"): ("0x1.83345b363d8e1p-1", "0x1.5af61aa9ed60dp-10"),
+    ("MSE_cdf_hat", "sample"): ("0x1.01446152eacffp-6", "0x1.24e075037d851p-12"),
+    ("MSE_pdf_hat", "sample"): ("0x1.957b7cea16027p-7", "0x1.28a70a6a67557p-11"),
+    ("MSE_theta_hat", "sample"): ("0x1.9a7b447455c8ep-2", "0x1.049bd70b56ad1p-6"),
+    ("MSE_g_hat", "sample"): ("0x1.0e66f6dfb12aep-6", "0x1.482c505e7d8e5p-12"),
+    ("E_cdf_hat", "records_direct"): ("0x1.57cb7df889bd9p-1", "0x1.ca6ce9dd94f3dp-10"),
+    ("E_pdf_hat", "records_direct"): ("0x1.83345b363d8e1p-1", "0x1.5af61aa9ed60dp-10"),
+    ("MSE_cdf_hat", "records_direct"): ("0x1.01446152eacffp-6", "0x1.24e075037d851p-12"),
+    ("MSE_pdf_hat", "records_direct"): ("0x1.957b7cea16026p-7", "0x1.28a70a6a67557p-11"),
+    ("MSE_theta_hat", "records_direct"): ("0x1.9a7b447455c8ep-2", "0x1.049bd70b56ad0p-6"),
+    ("MSE_g_hat", "records_direct"): ("0x1.0e66f6dfb12aep-6", "0x1.482c505e7d8e6p-12"),
+}
+
+
+def test_mc_engine_pinned_bit_for_bit():
+    # reps = 5000 spans two 4096-replication blocks
+    for (statistic, source), want in _ARRAY_SHA256.items():
+        got = mc_statistic_array(_PIN_CFG, source, statistic).tobytes()
+        assert hashlib.sha256(got).hexdigest() == want, (statistic, source)
+    for (target, source), want in _MC_HEX.items():
+        rep = mc_estimate(_PIN_CFG, target, source)
+        assert rep.failures == 0
+        assert (rep.mc_value.hex(), rep.mc_stderr.hex()) == want, (target, source)
+    cfg = ExperimentConfig("weibull:alpha=2", 1.3, (3,), reps=200)
+    rep = mc_estimate(cfg, "MSE_theta_hat", "records")
+    assert rep.failures == 0
+    assert (rep.mc_value.hex(), rep.mc_stderr.hex()) == (
+        "0x1.707da3f13390dp+1", "0x1.a8bce6e65ebf0p-1")
 
 # ---------------------------------------------------------------------------
 # KS statistic
@@ -420,6 +467,17 @@ def test_consistency_curve_huge_tolerance_is_all_zero():
     curve = consistency_curve(EXP, 1.0, 1e12, (3, 6), reps=400, seed=2)
     assert [p for _, p in curve] == [0.0, 0.0]
 
+
+def test_consistency_curve_inverts_b_by_bisection_without_b_inv():
+    # a spec with only A and B takes the bisection fallback of both inverses;
+    # its curve may move by one replication's rounding, no more
+    bare = dataclasses.replace(EXP, A_inv=None, B_inv=None)
+    reps = 2000
+    got = consistency_curve(bare, 1.0, 0.2, (5, 20), reps=reps, seed=8)
+    want = consistency_curve(EXP, 1.0, 0.2, (5, 20), reps=reps, seed=8)
+    assert [n for n, _ in got] == [5, 20]
+    for (_, p), (_, q) in zip(got, want):
+        assert abs(p - q) <= 1.0 / reps
 
 def test_consistency_curve_validation():
     with pytest.raises(ArgumentError):

@@ -109,9 +109,6 @@ def test_sample_iid_reproducible():
     assert a.values == b.values
     assert a.values != c.values
     assert a.n == 50
-    assert a.provenance.kind == "simulated"
-    assert a.provenance.seed == 7
-    assert a.provenance.stream == 0
 
 
 def test_sample_iid_matches_quantile_transform():
