@@ -55,6 +55,9 @@ _WG = (
     0.417959183673469387755102040816327,
 )
 
+_TOL = 1e-10  # absolute tolerance of the whole integral
+_INITIAL_PANELS = 8
+
 
 @dataclass(frozen=True, slots=True)
 class QuadResult:
@@ -110,33 +113,24 @@ def _kronrod_panel(
 
 
 def integrate_unit_interval(
-    f: Callable[[float], float],
-    tol: float = 1e-10,
-    initial_panels: int = 8,
-    max_generations: int = 20,
+    f: Callable[[float], float], max_generations: int = 20
 ) -> QuadResult:
-    """Adaptively integrate ``f`` over (0, 1) to absolute tolerance ``tol``.
+    """Adaptively integrate ``f`` over (0, 1) to absolute tolerance 1e-10.
 
-    A panel of width w is accepted once its error estimate is below
-    tol * w, so accepted panels jointly meet the absolute tolerance; a
-    panel whose estimate has reached the roundoff floor of the integrand
-    evaluation (1e-10 relative to the panel value) is also accepted, which
-    caps the achievable accuracy at about ten digits relative to the total
-    variation. Exhausting ``max_generations`` with unsettled panels yields
-    ``diverged=True``.
+    The interval starts as 8 equal panels. A panel of width w is accepted
+    once its error estimate is below 1e-10 * w, so accepted panels jointly
+    meet the absolute tolerance; a panel whose estimate has reached the
+    roundoff floor of the integrand evaluation (1e-10 relative to the panel
+    value) is also accepted, which caps the achievable accuracy at about ten
+    digits relative to the total variation. Exhausting ``max_generations``
+    with unsettled panels yields ``diverged=True``.
     """
-    tol = float(tol)
-    if not (tol > 0.0) or math.isnan(tol):
-        raise ArgumentError("integrate_unit_interval: tol must be positive")
-    initial_panels = int(initial_panels)
-    if initial_panels < 1:
-        raise ArgumentError("integrate_unit_interval: need at least one panel")
     max_generations = int(max_generations)
     if max_generations < 1:
         raise ArgumentError("integrate_unit_interval: need at least one generation")
 
     pending = [
-        (j / initial_panels, (j + 1) / initial_panels) for j in range(initial_panels)
+        (j / _INITIAL_PANELS, (j + 1) / _INITIAL_PANELS) for j in range(_INITIAL_PANELS)
     ]
     accepted_values: list[float] = []
     accepted_errors: list[float] = []
@@ -153,7 +147,7 @@ def integrate_unit_interval(
             # the integrand evaluation itself (log-space densities carry
             # relative noise up to ~1e-10 at large shape); splitting further
             # cannot improve such a panel
-            if finite and (err <= tol * (hi - lo) or err <= 1e-10 * abs(value)):
+            if finite and (err <= _TOL * (hi - lo) or err <= 1e-10 * abs(value)):
                 accepted_values.append(value)
                 accepted_errors.append(err)
             else:
@@ -164,17 +158,11 @@ def integrate_unit_interval(
         totals.append(math.fsum(accepted_values) + math.fsum(pending_values))
         pending = next_pending
 
-    diverged = bool(pending)
-    value = math.fsum(accepted_values)
-    error_bound = math.fsum(accepted_errors)
-    if diverged:
+    if pending:
         # report the latest full-interval estimate rather than the settled
         # fragment, so the caller sees where the refinement was heading
-        value = totals[-1] if totals else math.nan
-        last_two = tuple(totals[-2:]) if len(totals) >= 2 else None
-        if last_two is not None and len(last_two) == 2:
-            last_totals: tuple[float, float] | None = (last_two[0], last_two[1])
-        else:
-            last_totals = None
-        return QuadResult(value, math.inf, True, generation, last_totals)
-    return QuadResult(value, error_bound, False, generation, None)
+        last_totals = (totals[-2], totals[-1]) if len(totals) >= 2 else None
+        return QuadResult(totals[-1], math.inf, True, generation, last_totals)
+    return QuadResult(
+        math.fsum(accepted_values), math.fsum(accepted_errors), False, generation, None
+    )

@@ -1,7 +1,9 @@
 """Command-line front end: families | simulate | fit | eval | table | verify.
 
 Every randomized subcommand requires --seed; given the same flags and seed
-the byte output is identical across runs and worker counts. Numbers are
+the byte output is identical across runs and worker counts on one host:
+the same bytes hold for one numpy build at one SIMD dispatch level, whose
+transcendental kernels may round the last bit differently. Numbers are
 printed as shortest round-trip decimals, CSV is UTF-8 with LF endings and
 a mandatory header, JSON uses a fixed key order. Run manifests (flag set,
 version, timestamps, FNV-1a digests of outputs) go to stderr when

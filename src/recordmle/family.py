@@ -75,14 +75,14 @@ class FamilySpec:
 
     ``A`` must be strictly increasing on ``[support_lo, support_hi)`` with
     ``A(support_lo) = 0``; ``B`` must be positive on the open interval
-    ``theta_domain``. ``A`` and ``A_prime`` must accept numpy arrays: the
-    cdf/pdf maps, the sample MLE, the MC engine and the ``eval`` grids call
-    them on whole arrays, and :func:`validate_family` fails a scalar-only
-    callable. ``B`` is only called on scalars. ``A_inv`` and ``B_inv`` are
-    optional and, when given, are called on arrays; when ``None``, a
-    bracketed bisection with absolute tolerance 1e-12 inverts ``A`` or
-    ``B`` one element at a time, so custom families can be registered with
-    only ``A`` and ``B``.
+    ``theta_domain``. ``A``, ``A_prime`` and ``B`` must accept numpy
+    arrays: the cdf/pdf maps, the sample MLE, the MC engine, the ``eval``
+    grids and the inverse fallback call them on whole arrays, and
+    :func:`validate_family` fails a scalar-only callable. ``A_inv`` and
+    ``B_inv`` are optional and, when given, are called on arrays; when
+    ``None``, a bracketed bisection with absolute tolerance 1e-12 inverts
+    ``A`` or ``B`` on the whole array, so custom families can be registered
+    with only ``A`` and ``B``.
 
     Instances are immutable and safe to share across worker threads.
     """
@@ -237,85 +237,84 @@ def _to_interval(s, lo: float, hi: float):
     return lo + (hi - lo) * s
 
 
-def _invert_monotone(fn, target: float, lo: float, hi: float, closed_lo: bool = False) -> float:
-    """Solve ``fn(x) = target`` for a strictly monotone scalar map on (lo, hi).
+def _invert_monotone(fn, target, lo: float, hi: float, closed_lo: bool = False):
+    """Solve ``fn(x) = target`` elementwise for a strictly monotone map on (lo, hi).
 
     The direction comes from probes at the images of 1/4 and 3/4. From the
     image of 1/2 the bracket grows toward the side of the root: the step
     doubles toward an infinite end and the gap halves toward a finite end,
     at most 200 times. Bisection then runs to absolute tolerance 1e-12. With
     ``closed_lo`` the map is known to lie below ``target`` at lo, which then
-    bounds the root when the probes cannot get closer to it. Raises
-    :class:`EstimatorRangeError` when the target cannot be bracketed.
+    bounds the root when the probes cannot get closer to it. Every element
+    takes these steps on its own, as a scalar solve would, and ``fn`` is
+    called once per step on the elements still moving. Raises
+    :class:`EstimatorRangeError` when a target cannot be bracketed.
     """
-    sign = 1.0 if fn(_to_interval(0.75, lo, hi)) > fn(_to_interval(0.25, lo, hi)) else -1.0
-    h = lambda x: sign * (fn(x) - target)  # increasing, zero at the root
-    x = _to_interval(0.5, lo, hi)
-    val = h(x)
-    up = val < 0.0
-    end = hi if up else lo
-    step = max(abs(x), 1.0)
-    bracket = None
-    for _ in range(200):
-        nxt = (x + step if up else x - step) if math.isinf(end) else 0.5 * (x + end)
-        step *= 2.0
-        if nxt in (x, end):  # rounded onto the last probe or the end
-            break
-        val = h(nxt)
-        if val >= 0.0 if up else val <= 0.0:
-            bracket = (x, nxt) if up else (nxt, x)
-            break
-        x = nxt
-    if bracket is None and closed_lo and val > 0.0:
-        bracket = (lo, x)
-    if bracket is None:
-        raise EstimatorRangeError(
-            f"target {target!r} not bracketed on ({lo}, {hi}): the map is "
-            f"{fn(x)!r} at the last probe {x!r}"
-        )
-    a, b = bracket
-    for _ in range(200):
-        if b - a <= _INVERT_TOL:
-            break
-        mid = 0.5 * (a + b)
-        if h(mid) < 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def _elementwise(y, scalar):
-    """Apply a scalar routine to a scalar, or to each element of an array."""
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim == 0:
-        return scalar(float(arr))
-    return np.array([scalar(float(v)) for v in arr.ravel()]).reshape(arr.shape)
+    t = np.asarray(target, dtype=float).ravel()
+    with np.errstate(all="ignore"):  # far probes may overflow the map
+        probe = np.asarray(fn(_to_interval(np.array([0.25, 0.75]), lo, hi)), dtype=float)
+        sign = 1.0 if probe[1] > probe[0] else -1.0
+        # increasing, zero at the root; evaluated on the elements in `m` only
+        h = lambda x, m: sign * (np.asarray(fn(x[m]), dtype=float) - t[m])
+        x = np.full(t.shape, _to_interval(0.5, lo, hi))
+        moving = np.ones(t.shape, dtype=bool)
+        val = h(x, moving)
+        up = val < 0.0
+        end = np.where(up, hi, lo)
+        step = np.maximum(np.abs(x), 1.0)
+        far, found = x.copy(), np.zeros(t.shape, dtype=bool)  # far: the probe past the root
+        for _ in range(200):
+            nxt = np.where(np.isinf(end), np.where(up, x + step, x - step), 0.5 * (x + end))
+            step *= 2.0
+            moving &= (nxt != x) & (nxt != end)  # rounded onto the last probe or the end
+            if not moving.any():
+                break
+            nval = val.copy()
+            nval[moving] = h(nxt, moving)
+            hit = moving & np.where(up, nval >= 0.0, nval <= 0.0)
+            far, found = np.where(hit, nxt, far), found | hit
+            moving &= ~hit
+            x, val = np.where(moving, nxt, x), np.where(moving, nval, val)
+        a, b = np.where(up, x, far), np.where(up, far, x)
+        if closed_lo:
+            fall = ~found & (val > 0.0)
+            a, found = np.where(fall, lo, a), found | fall
+        if not found.all():
+            i = int(np.argmin(found))
+            raise EstimatorRangeError(
+                f"target {float(t[i])!r} not bracketed on ({lo}, {hi}): the map is "
+                f"{float(np.asarray(fn(x[i:i + 1]), dtype=float)[0])!r} at the last "
+                f"probe {float(x[i])!r}"
+            )
+        for _ in range(200):
+            live = b - a > _INVERT_TOL
+            if not live.any():
+                break
+            mid = 0.5 * (a + b)
+            below = np.zeros(t.shape, dtype=bool)
+            below[live] = h(mid, live) < 0.0
+            a, b = np.where(below, mid, a), np.where(live & ~below, mid, b)
+    return (0.5 * (a + b)).reshape(np.shape(target))
 
 
 def a_inverse(spec: FamilySpec, y):
     """Evaluate ``A_inv``, falling back to bisection when not supplied."""
-    if spec.A_inv is not None:
-        return _eval_pointwise(y, spec.A_inv)
 
-    def scalar(val: float) -> float:
-        if val < 0.0:
-            raise DomainError(f"A_inv argument {val!r} is negative")
-        if val == 0.0:
-            return spec.support_lo
-        return _invert_monotone(lambda x: float(spec.A(x)), val, spec.support_lo,
-                                spec.support_hi, closed_lo=True)
+    def fallback(arr):
+        if (arr < 0.0).any():
+            raise DomainError(f"A_inv argument {float(arr[arr < 0.0][0])!r} is negative")
+        out, inner = np.full(arr.shape, spec.support_lo), arr != 0.0
+        out[inner] = _invert_monotone(spec.A, arr[inner], spec.support_lo,
+                                      spec.support_hi, closed_lo=True)
+        return out
 
-    return _elementwise(y, scalar)
+    return _eval_pointwise(y, fallback if spec.A_inv is None else spec.A_inv)
 
 
 def b_inverse(spec: FamilySpec, y):
     """Evaluate ``B_inv``, falling back to monotone bisection when absent."""
-    if spec.B_inv is not None:
-        return _eval_pointwise(y, spec.B_inv)
-    return _elementwise(
-        y, lambda val: _invert_monotone(lambda t: float(spec.B(t)), val, *spec.theta_domain)
-    )
+    fallback = lambda arr: _invert_monotone(spec.B, arr, *spec.theta_domain)
+    return _eval_pointwise(y, fallback if spec.B_inv is None else spec.B_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +323,17 @@ def b_inverse(spec: FamilySpec, y):
 
 def _roundtrip_check(name: str, fn, inverse, grid, detail: str) -> CheckResult:
     """Worst relative error of ``inverse(fn(v))`` against v over ``grid``."""
-    worst, first = 0.0, None
+    worst, first, note = 0.0, None, detail
     for v in grid:
         try:
             back = float(inverse(float(fn(v))))
-            rel = abs(back - v) / max(1.0, abs(v))
+            rel, why = abs(back - v) / max(1.0, abs(v)), detail
         except Exception as exc:
-            rel, detail = math.inf, f"{type(exc).__name__}: {exc}"
+            rel, why = math.inf, f"{type(exc).__name__}: {exc}"
         if rel > worst:
-            worst, first = rel, float(v)
+            worst, first, note = rel, float(v), why
     ok = worst <= _ROUNDTRIP_TOL
-    return CheckResult(name, ok, worst, None if ok else first, detail)
+    return CheckResult(name, ok, worst, None if ok else first, note)
 
 
 def _safe_eval(fn, arg):
@@ -344,28 +343,29 @@ def _safe_eval(fn, arg):
         return math.nan, f"{type(exc).__name__}: {exc}"
 
 
-def _array_check(spec: FamilySpec, xs: np.ndarray) -> CheckResult:
-    """A and A' called once on the array ``xs``, against their scalar calls."""
+def _array_check(spec: FamilySpec, xs: np.ndarray, thetas: np.ndarray) -> CheckResult:
+    """A and A' called once on the array ``xs``, B once on ``thetas``, against scalar calls."""
     worst, first = 0.0, None
-    for label, fn in (("A", spec.A), ("A'", spec.A_prime)):
+    for label, fn, grid in (("A", spec.A, xs), ("A'", spec.A_prime, xs), ("B", spec.B, thetas)):
         try:
-            vec = np.asarray(fn(xs), dtype=float)
-            if vec.shape != xs.shape:
-                raise ValueError(f"shape {xs.shape} in, shape {vec.shape} out")
+            vec = np.asarray(fn(grid), dtype=float)
+            if vec.shape != grid.shape:
+                raise ValueError(f"shape {grid.shape} in, shape {vec.shape} out")
         except Exception as exc:  # report, never crash validation
-            return CheckResult("A_accepts_arrays", False, math.inf, float(xs[0]),
+            return CheckResult("A_accepts_arrays", False, math.inf, float(grid[0]),
                                f"{label} on an array: {type(exc).__name__}: {exc}")
-        scalar = np.array([_safe_eval(fn, x)[0] for x in xs])
+        scalar = np.array([_safe_eval(fn, x)[0] for x in grid])
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(vec == scalar, 0.0, np.abs(vec - scalar) / np.abs(scalar))
         rel = np.nan_to_num(rel, nan=math.inf)
         i = int(np.argmax(rel))
         if rel[i] > worst:
-            worst, first = float(rel[i]), float(xs[i])
+            worst, first = float(rel[i]), float(grid[i])
     ok = worst <= _ROUNDTRIP_TOL
     return CheckResult(
         "A_accepts_arrays", ok, worst, None if ok else first,
-        "A and A' on the support grid as one array, against scalar calls",
+        "A and A' on the support grid and B on the theta grid, each as one "
+        "array, against scalar calls",
     )
 
 
@@ -376,10 +376,10 @@ def validate_family(spec: FamilySpec) -> ValidationReport:
     (limit grid when the endpoint itself is not evaluable); the A and B
     inverse roundtrips within 1e-9 relative; B positive on the parameter
     grid; A' positive and within 1e-6 relative of a central finite
-    difference of A; A and A' called once on the whole support grid,
-    matching the scalar calls within 1e-9 relative. Non-finite callable
-    output is reported as a failure of the corresponding check, not
-    raised.
+    difference of A; A and A' called once on the whole support grid and B
+    once on the whole parameter grid, matching the scalar calls within 1e-9
+    relative. Non-finite callable output is reported as a failure of the
+    corresponding check, not raised.
     """
     checks: list[CheckResult] = []
     s = (np.arange(_GRID_SIZE) + 0.5) / _GRID_SIZE
@@ -488,7 +488,7 @@ def validate_family(spec: FamilySpec) -> ValidationReport:
         )
     )
 
-    checks.append(_array_check(spec, xs))
+    checks.append(_array_check(spec, xs, thetas))
     return ValidationReport(family=spec.name, checks=tuple(checks))
 
 

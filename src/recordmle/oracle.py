@@ -73,7 +73,6 @@ SOURCES = ("sample", "records_direct", "records")
 
 _BLOCK = 4096
 _MAX_FAILURE_FRACTION = 0.01
-_QUAD_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +117,7 @@ def expect_over_gamma(h: Callable[[float], float], size: int, rate: float) -> Qu
             hv = math.inf
         return hv * weight
 
-    return integrate_unit_interval(integrand, tol=_QUAD_TOL)
+    return integrate_unit_interval(integrand)
 
 
 def _require_convergent(result: QuadResult, what: str) -> float:

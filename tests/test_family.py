@@ -14,6 +14,7 @@ from recordmle import (
     DomainError,
     EstimatorRangeError,
     FamilySpec,
+    RecordMleError,
     a_inverse,
     b_inverse,
     builtin_descriptions,
@@ -28,6 +29,7 @@ from recordmle import (
     validate_family,
 )
 from recordmle._quadrature import integrate_unit_interval
+from recordmle.family import _INVERT_TOL, _to_interval
 
 BUILTINS = [
     make_exponential(),
@@ -164,6 +166,32 @@ def test_validation_catches_array_call_that_disagrees_with_scalar_calls():
     assert report.failures()[0].residual == pytest.approx(1e-6, rel=1e-6)
 
 
+def test_validation_catches_scalar_only_b():
+    # agrees with lomax's B on every scalar but raises on arrays
+    base = make_lomax()
+    scalar_only = dataclasses.replace(base, name="lomax-scalar-b", B=lambda t: 1.0 / float(t))
+    report = validate_family(scalar_only)
+    assert [c.name for c in report.failures()] == ["A_accepts_arrays"]
+    assert "B on an array: TypeError" in report.failures()[0].detail
+    with pytest.raises(TypeError):
+        b_inverse(dataclasses.replace(scalar_only, B_inv=None), [0.5, 1.0])
+
+
+def test_roundtrip_failure_reports_the_detail_of_its_point():
+    def a_inv(y):
+        y = float(y)
+        if y > 1.0:
+            raise ValueError(f"second kind at {y}")
+        if y > 0.5:
+            raise KeyError(f"first kind at {y}")
+        return y
+
+    (failure,) = validate_family(dataclasses.replace(make_exponential(), A_inv=a_inv)).failures()
+    assert failure.name == "A_inv_roundtrip"
+    assert failure.first_failure == pytest.approx(0.5059, abs=1e-4)
+    assert failure.detail == f"KeyError: 'first kind at {failure.first_failure!r}'"
+
+
 def test_bisection_fallback_inverses():
     spec = _no_inverse_lomax()
     assert spec.A_inv is None and spec.B_inv is None
@@ -177,11 +205,12 @@ def test_bisection_fallback_inverses():
     assert report.passed
 
 
-@pytest.mark.parametrize(
-    "base",
-    [make_exponential(), make_lomax(), make_weibull(0.5), make_weibull(3.0), make_pareto(1.5)],
-    ids=lambda s: s.name,
-)
+FALLBACK_BASES = [
+    make_exponential(), make_lomax(), make_weibull(0.5), make_weibull(3.0), make_pareto(1.5)
+]
+
+
+@pytest.mark.parametrize("base", FALLBACK_BASES, ids=lambda s: s.name)
 def test_fallback_inverter_matches_closed_forms(base):
     spec = dataclasses.replace(base, A_inv=None, B_inv=None)
     assert a_inverse(spec, 0.0) == spec.support_lo
@@ -214,6 +243,132 @@ def test_fallback_inverter_rejects_target_outside_range():
         b_inverse(spec, 2.0)
 
 
+def _invert_monotone(fn, target: float, lo: float, hi: float, closed_lo: bool = False) -> float:
+    """Solve ``fn(x) = target`` for a strictly monotone scalar map on (lo, hi).
+
+    The direction comes from probes at the images of 1/4 and 3/4. From the
+    image of 1/2 the bracket grows toward the side of the root: the step
+    doubles toward an infinite end and the gap halves toward a finite end,
+    at most 200 times. Bisection then runs to absolute tolerance 1e-12. With
+    ``closed_lo`` the map is known to lie below ``target`` at lo, which then
+    bounds the root when the probes cannot get closer to it. Raises
+    :class:`EstimatorRangeError` when the target cannot be bracketed.
+    """
+    sign = 1.0 if fn(_to_interval(0.75, lo, hi)) > fn(_to_interval(0.25, lo, hi)) else -1.0
+    h = lambda x: sign * (fn(x) - target)  # increasing, zero at the root
+    x = _to_interval(0.5, lo, hi)
+    val = h(x)
+    up = val < 0.0
+    end = hi if up else lo
+    step = max(abs(x), 1.0)
+    bracket = None
+    for _ in range(200):
+        nxt = (x + step if up else x - step) if math.isinf(end) else 0.5 * (x + end)
+        step *= 2.0
+        if nxt in (x, end):  # rounded onto the last probe or the end
+            break
+        val = h(nxt)
+        if val >= 0.0 if up else val <= 0.0:
+            bracket = (x, nxt) if up else (nxt, x)
+            break
+        x = nxt
+    if bracket is None and closed_lo and val > 0.0:
+        bracket = (lo, x)
+    if bracket is None:
+        raise EstimatorRangeError(
+            f"target {target!r} not bracketed on ({lo}, {hi}): the map is "
+            f"{fn(x)!r} at the last probe {x!r}"
+        )
+    a, b = bracket
+    for _ in range(200):
+        if b - a <= _INVERT_TOL:
+            break
+        mid = 0.5 * (a + b)
+        if h(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+# Referees: the scalar routine above, one element at a time, as the inverse
+# fallbacks ran before they worked on whole arrays.
+def _referee_a(spec, ys):
+    def scalar(val):
+        if val < 0.0:
+            raise DomainError(f"A_inv argument {val!r} is negative")
+        if val == 0.0:
+            return spec.support_lo
+        return _invert_monotone(lambda x: float(spec.A(x)), val, spec.support_lo,
+                                spec.support_hi, closed_lo=True)
+
+    return np.array([scalar(float(v)) for v in ys])
+
+
+def _referee_b(spec, ys):
+    scalar = lambda val: _invert_monotone(lambda t: float(spec.B(t)), val, *spec.theta_domain)
+    return np.array([scalar(float(v)) for v in ys])
+
+
+def _outcome(inverse, spec, ys):
+    """The result bits, or the type and text of the error raised."""
+    try:
+        return np.asarray(inverse(spec, np.asarray(ys, dtype=float)), dtype=float).tobytes()
+    except RecordMleError as exc:
+        return type(exc).__name__, str(exc)
+
+
+NO_INVERSE = [dataclasses.replace(b, A_inv=None, B_inv=None) for b in FALLBACK_BASES]
+# the A targets include 0, pareto's 1e-17 that only the closed lower end
+# brackets, and 1e-300
+A_TARGETS = np.concatenate(
+    [[0.0, 1e-17, 1e-300], np.linspace(0.5, 120.0, 240), np.logspace(-12, 2, 300)]
+)
+
+
+@pytest.mark.parametrize("spec", NO_INVERSE, ids=lambda s: s.name)
+def test_array_inverter_matches_scalar_referee(spec):
+    assert a_inverse(spec, A_TARGETS).tobytes() == _referee_a(spec, A_TARGETS).tobytes()
+    b_targets = np.logspace(-6, 6, 49)
+    assert b_inverse(spec, b_targets).tobytes() == _referee_b(spec, b_targets).tobytes()
+
+
+@given(
+    spec=st.sampled_from(NO_INVERSE),
+    a_targets=st.lists(st.floats(min_value=0.0, max_value=300.0), max_size=8),
+    b_targets=st.lists(st.floats(min_value=1e-80, max_value=1e80), max_size=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_array_inverter_matches_scalar_referee_on_random_targets(spec, a_targets, b_targets):
+    # targets past the reach of the bracket raise the same error for the
+    # same first element
+    assert _outcome(a_inverse, spec, a_targets) == _outcome(_referee_a, spec, a_targets)
+    assert _outcome(b_inverse, spec, b_targets) == _outcome(_referee_b, spec, b_targets)
+
+
+def test_array_inverter_edge_targets():
+    spec = dataclasses.replace(make_pareto(1.5), A_inv=None, B_inv=None)
+    for y in (0.0, 1e-17, 1e-300):
+        assert a_inverse(spec, y) == _referee_a(spec, [y])[0]
+    assert a_inverse(spec, np.array([])).shape == (0,)
+    assert b_inverse(spec, np.array([])).shape == (0,)
+    # a 0-d array in, a Python float out
+    assert type(a_inverse(spec, np.array(2.0))) is float
+    assert type(b_inverse(spec, np.array(2.0))) is float
+    with pytest.raises(DomainError, match="A_inv argument -0.5 is negative"):
+        a_inverse(spec, [1.0, -0.5])
+    for inverse, referee, bad in (
+        (a_inverse, _referee_a, (math.nan, math.inf)),
+        (b_inverse, _referee_b, (math.nan, math.inf, -math.inf)),
+    ):
+        for y in bad:
+            with pytest.raises(EstimatorRangeError) as exc:
+                inverse(spec, np.array([1.0, y]))
+            assert str(exc.value).startswith(f"target {y!r} not bracketed")
+            assert "np.float64" not in str(exc.value)
+            assert _outcome(inverse, spec, [1.0, y]) == _outcome(referee, spec, [1.0, y])
+
+
 @pytest.mark.parametrize(
     "spec,theta",
     [
@@ -235,7 +390,7 @@ def test_pdf_integrates_to_one(spec, theta):
         x = lo + s / (1.0 - s)
         return float(pdf(spec, theta, x)) / (1.0 - s) ** 2
 
-    res = integrate_unit_interval(integrand, tol=1e-8)
+    res = integrate_unit_interval(integrand)
     assert not res.diverged
     assert res.value == pytest.approx(1.0, abs=1e-6)
 

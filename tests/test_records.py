@@ -196,8 +196,8 @@ _NO_A_INV = dataclasses.replace(make_lomax(), A_inv=None)
         (make_weibull(2.0), 100, 8, 200_000),
         (make_weibull(0.5), 100, 8, 200_000),
         (make_pareto(1.5), 100, 8, 200_000),
-        # the bisection fallback of a_inverse; the literal rule bisects every
-        # draw in Python, so fewer seeds and a lower cap
+        # the bisection fallback of a_inverse; the literal rule inverts every
+        # draw, so fewer seeds and a lower cap keep the case quick
         pytest.param(_NO_A_INV, 6, 8, 1_000, id="lomax-no-A_inv"),
     ],
     ids=lambda v: getattr(v, "name", None),
