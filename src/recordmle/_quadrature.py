@@ -6,10 +6,13 @@ t = s / (1 - s); the 15-point Kronrod rule never evaluates the endpoints,
 so integrable behavior at either end needs no special casing.
 
 Panels that fail the per-panel tolerance are bisected for the next
-generation. A target whose exact integral does not exist (the power
-function derived quantities with base above 1) shows up as panels near an
-endpoint that never settle: the generation cap turns that into a
-``diverged`` result carrying the last two whole-interval totals, so the
+generation. A target whose exact integral does not exist shows up in one
+of two ways. A panel whose Kronrod sum is not finite (the integrand
+overflows, as the power function derived quantities with base above 1 do
+near s = 0) ends the integration at once with a ``diverged`` result: no
+refinement can make that panel finite. Finite panels near an endpoint that
+never settle (a pole such as 1/x) run into the generation cap instead, and
+that ``diverged`` result carries the last two whole-interval totals, so the
 caller can see the estimate still growing. Divergence is a reportable
 outcome here, not an exception; callers that expect a convergent target
 escalate it themselves.
@@ -20,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-from .errors import ArgumentError
 
 __all__ = ["QuadResult", "integrate_unit_interval"]
 
@@ -57,6 +58,7 @@ _WG = (
 
 _TOL = 1e-10  # absolute tolerance of the whole integral
 _INITIAL_PANELS = 8
+_MAX_GENERATIONS = 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,9 +66,11 @@ class QuadResult:
     """Outcome of one adaptive integration.
 
     ``error_bound`` sums the per-panel Kronrod-minus-Gauss differences of
-    the accepted panels. On divergence ``last_totals`` holds the
-    whole-interval totals of the final two refinement generations, which
-    keep growing when the underlying integral does not exist.
+    the accepted panels. A divergence found at a panel with a non-finite
+    Kronrod sum reports that sum as ``value`` and ``last_totals`` None. One
+    found at the generation cap holds in ``last_totals`` the whole-interval
+    totals of the final two generations, which keep growing when the
+    underlying integral does not exist.
     """
 
     value: float
@@ -76,45 +80,27 @@ class QuadResult:
     last_totals: tuple[float, float] | None
 
 
-def _kronrod_panel(
-    f: Callable[[float], float], lo: float, hi: float
-) -> tuple[float, float, bool]:
-    """(kronrod value, |kronrod - gauss|, all nodes finite) on one panel."""
+def _kronrod_panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """(kronrod value, |kronrod - gauss|) on one panel."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     kronrod = 0.0
     gauss = 0.0
-    finite = True
-    for j in range(8):
-        xj = _XGK[j]
-        if j == 7:
-            fs = f(center)
-            if not math.isfinite(fs):
-                finite = False
-                break
-            kronrod += _WGK[7] * fs
-            gauss += _WG[3] * fs
-            break
-        f_lo = f(center - half * xj)
-        f_hi = f(center + half * xj)
-        if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
-            finite = False
-            break
-        pair = f_lo + f_hi
+    for j in range(7):
+        pair = f(center - half * _XGK[j]) + f(center + half * _XGK[j])
         kronrod += _WGK[j] * pair
         if j & 1:
             # odd Kronrod indices are the embedded Gauss nodes
             gauss += _WG[j // 2] * pair
-    if not finite:
-        return math.nan, math.inf, False
+    fs = f(center)
+    kronrod += _WGK[7] * fs
+    gauss += _WG[3] * fs
     kronrod *= half
     gauss *= half
-    return kronrod, abs(kronrod - gauss), True
+    return kronrod, abs(kronrod - gauss)
 
 
-def integrate_unit_interval(
-    f: Callable[[float], float], max_generations: int = 20
-) -> QuadResult:
+def integrate_unit_interval(f: Callable[[float], float]) -> QuadResult:
     """Adaptively integrate ``f`` over (0, 1) to absolute tolerance 1e-10.
 
     The interval starts as 8 equal panels. A panel of width w is accepted
@@ -122,13 +108,10 @@ def integrate_unit_interval(
     meet the absolute tolerance; a panel whose estimate has reached the
     roundoff floor of the integrand evaluation (1e-10 relative to the panel
     value) is also accepted, which caps the achievable accuracy at about ten
-    digits relative to the total variation. Exhausting ``max_generations``
-    with unsettled panels yields ``diverged=True``.
+    digits relative to the total variation. A panel whose Kronrod sum is not
+    finite returns ``diverged=True`` at once; so does reaching 20
+    generations with unsettled panels.
     """
-    max_generations = int(max_generations)
-    if max_generations < 1:
-        raise ArgumentError("integrate_unit_interval: need at least one generation")
-
     pending = [
         (j / _INITIAL_PANELS, (j + 1) / _INITIAL_PANELS) for j in range(_INITIAL_PANELS)
     ]
@@ -137,22 +120,23 @@ def integrate_unit_interval(
     totals: list[float] = []
     generation = 0
 
-    while pending and generation < max_generations:
+    while pending and generation < _MAX_GENERATIONS:
         generation += 1
         next_pending: list[tuple[float, float]] = []
         pending_values: list[float] = []
         for lo, hi in pending:
-            value, err, finite = _kronrod_panel(f, lo, hi)
+            value, err = _kronrod_panel(f, lo, hi)
+            if not math.isfinite(value):
+                return QuadResult(value, math.inf, True, generation, None)
             # second condition: the error estimate is at the noise floor of
             # the integrand evaluation itself (log-space densities carry
             # relative noise up to ~1e-10 at large shape); splitting further
             # cannot improve such a panel
-            if finite and (err <= _TOL * (hi - lo) or err <= 1e-10 * abs(value)):
+            if err <= _TOL * (hi - lo) or err <= 1e-10 * abs(value):
                 accepted_values.append(value)
                 accepted_errors.append(err)
             else:
-                if finite:
-                    pending_values.append(value)
+                pending_values.append(value)
                 mid = 0.5 * (lo + hi)
                 next_pending.extend([(lo, mid), (mid, hi)])
         totals.append(math.fsum(accepted_values) + math.fsum(pending_values))
@@ -161,8 +145,7 @@ def integrate_unit_interval(
     if pending:
         # report the latest full-interval estimate rather than the settled
         # fragment, so the caller sees where the refinement was heading
-        last_totals = (totals[-2], totals[-1]) if len(totals) >= 2 else None
-        return QuadResult(totals[-1], math.inf, True, generation, last_totals)
+        return QuadResult(totals[-1], math.inf, True, generation, (totals[-2], totals[-1]))
     return QuadResult(
         math.fsum(accepted_values), math.fsum(accepted_errors), False, generation, None
     )

@@ -66,6 +66,12 @@ __all__ = [
 _ROUNDTRIP_TOL = 1e-9
 _DERIVATIVE_TOL = 1e-6
 _INVERT_TOL = 1e-12
+# The fallback inverter's bracket grows until its probe reaches the end of
+# the domain or rounds onto itself. A step doubling from at least 1
+# overflows within 1,024 steps; a gap halving from below 2**1024 reaches the
+# smallest float spacing, 2**-1074, within 2,098. The bound is that, with
+# room for rounding.
+_BRACKET_STEPS = 2200
 _GRID_SIZE = 64
 
 
@@ -243,12 +249,13 @@ def _invert_monotone(fn, target, lo: float, hi: float, closed_lo: bool = False):
     The direction comes from probes at the images of 1/4 and 3/4. From the
     image of 1/2 the bracket grows toward the side of the root: the step
     doubles toward an infinite end and the gap halves toward a finite end,
-    at most 200 times. Bisection then runs to absolute tolerance 1e-12. With
-    ``closed_lo`` the map is known to lie below ``target`` at lo, which then
-    bounds the root when the probes cannot get closer to it. Every element
-    takes these steps on its own, as a scalar solve would, and ``fn`` is
-    called once per step on the elements still moving. Raises
-    :class:`EstimatorRangeError` when a target cannot be bracketed.
+    until the probe reaches the end or rounds onto itself. Bisection then
+    runs to absolute tolerance 1e-12. With ``closed_lo`` the map is known
+    to lie below ``target`` at lo, which then bounds the root when the
+    probes cannot get closer to it. Every element takes these steps on its
+    own, as a scalar solve would, and ``fn`` is called once per step on the
+    elements still moving. Raises :class:`EstimatorRangeError` when a target
+    cannot be bracketed.
     """
     t = np.asarray(target, dtype=float).ravel()
     with np.errstate(all="ignore"):  # far probes may overflow the map
@@ -263,7 +270,7 @@ def _invert_monotone(fn, target, lo: float, hi: float, closed_lo: bool = False):
         end = np.where(up, hi, lo)
         step = np.maximum(np.abs(x), 1.0)
         far, found = x.copy(), np.zeros(t.shape, dtype=bool)  # far: the probe past the root
-        for _ in range(200):
+        for _ in range(_BRACKET_STEPS):
             nxt = np.where(np.isinf(end), np.where(up, x + step, x - step), 0.5 * (x + end))
             step *= 2.0
             moving &= (nxt != x) & (nxt != end)  # rounded onto the last probe or the end
@@ -531,10 +538,15 @@ def make_weibull(alpha: float) -> FamilySpec:
     alpha = float(alpha)
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ArgumentError(f"weibull shape alpha must be positive, got {alpha!r}")
+
+    def a_prime(x):
+        with np.errstate(divide="ignore"):  # x = 0 with alpha < 1: inf, as it should be
+            return alpha * np.asarray(x, dtype=float) ** (alpha - 1.0)
+
     return FamilySpec(
         name=f"weibull:alpha={alpha!r}",
         A=lambda x, a=alpha: np.asarray(x, dtype=float) ** a,
-        A_prime=lambda x, a=alpha: a * np.asarray(x, dtype=float) ** (a - 1.0),
+        A_prime=a_prime,
         A_inv=lambda y, a=alpha: np.asarray(y, dtype=float) ** (1.0 / a),
         B=lambda t: np.asarray(t, dtype=float) + 0.0,
         B_inv=lambda y: np.asarray(y, dtype=float) + 0.0,

@@ -65,6 +65,7 @@ __all__ = [
     "exact_mse_theta_hat",
     "exact_mse_g_power",
     "mc_estimate",
+    "mc_statistic_array",
     "ks_two_sample",
     "consistency_curve",
 ]
@@ -88,8 +89,8 @@ def expect_over_gamma(h: Callable[[float], float], size: int, rate: float) -> Qu
     spans several panels and cannot slip between quadrature nodes. The
     density and Jacobian are evaluated in log space so large shapes neither
     overflow nor lose the tails. An ``OverflowError`` from ``h`` is treated
-    as an infinite integrand value, which the adaptive rule converts into a
-    divergence signal rather than an exception.
+    as an infinite integrand value; the panel holding it ends the adaptive
+    rule at once with a divergence signal rather than an exception.
     """
     size = int(size)
     if size < 1:
@@ -122,9 +123,9 @@ def expect_over_gamma(h: Callable[[float], float], size: int, rate: float) -> Qu
 
 def _require_convergent(result: QuadResult, what: str) -> float:
     if result.diverged:
-        raise DivergenceError(
-            f"{what}: quadrature diverged (last totals {result.last_totals!r})"
-        )
+        why = (f"a panel sums to {result.value!r} in generation {result.generations}"
+               if result.last_totals is None else f"last totals {result.last_totals!r}")
+        raise DivergenceError(f"{what}: quadrature diverged ({why})")
     return result.value
 
 
@@ -219,9 +220,11 @@ def exact_mse_g_power(theta: float, n: int, k: float) -> QuadResult:
     """Quadrature MSE of k**theta_hat in the rate parametrization B = theta.
 
     Returns the raw :class:`QuadResult`: for k > 1 the integrand grows like
-    exp(c/t) at t -> 0, the expectation does not exist, and the result
-    reports divergence with the growing refinement totals. Counterpart of
-    :func:`recordmle.closedform.mse_g_power_series`.
+    exp(c/t) at t -> 0 and the expectation does not exist. Where h
+    overflows at a node, the result reports divergence with a non-finite
+    value and no ``last_totals``. A size whose nodes all stay finite (k
+    near 1) can still come back converged although no MSE exists.
+    Counterpart of :func:`recordmle.closedform.mse_g_power_series`.
     """
     n = int(n)
     if n < 1:
@@ -236,10 +239,7 @@ def exact_mse_g_power(theta: float, n: int, k: float) -> QuadResult:
     g_true = k**theta
 
     def h(t: float) -> float:
-        z = n * log_k / t
-        if z > 700.0:
-            return math.inf
-        return (math.exp(z) - g_true) ** 2
+        return (math.exp(n * log_k / t) - g_true) ** 2
 
     return expect_over_gamma(h, n, theta)
 

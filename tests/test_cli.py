@@ -224,6 +224,18 @@ def test_eval_emits_curves_for_every_builtin(family, grid):
             assert vals[-1] > 0.9
 
 
+def test_infinite_density_at_zero_prints_no_warning():
+    # weibull with alpha < 1 has an infinite density at x = 0
+    proc = run_cli("eval", "--what", "pdf", "--family", "weibull:alpha=0.5", "--grid",
+                   "0:1:3", "--theta", "1")
+    assert proc.stdout.split("\n")[1] == "0.0,inf"
+    assert proc.stderr == ""
+    proc = run_cli("table", "--formula", "E-pdf", "--family", "weibull:alpha=0.5",
+                   "--x", "0", "--sizes", "2..4", "--theta", "1")
+    assert proc.stdout.split("\n")[1].startswith("2,inf,")
+    assert proc.stderr == ""
+
+
 def test_eval_plugin_rows_match_refit_curve(tmp_path):
     data = tmp_path / "xs.csv"
     data.write_text("index,value\n0,1.0\n1,2.0\n2,3.0\n")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,18 @@ def test_fallback_inverter_matches_closed_forms(base):
         a_inverse(spec, -1.0)
 
 
+def test_fallback_inverter_reaches_far_roots():
+    # the root of log1p(x) = 150 lies near 2**216, past 200 doublings
+    spec = dataclasses.replace(make_lomax(), A_inv=None)
+    assert a_inverse(spec, 150.0) == pytest.approx(a_inverse(make_lomax(), 150.0), rel=1e-12)
+
+
+def test_weibull_density_at_zero_is_infinite_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pdf(make_weibull(0.5), 1.0, 0.0) == math.inf
+
+
 def test_fallback_inverter_rejects_target_outside_range():
     spec = FamilySpec(
         name="unit",
@@ -249,7 +262,7 @@ def _invert_monotone(fn, target: float, lo: float, hi: float, closed_lo: bool = 
     The direction comes from probes at the images of 1/4 and 3/4. From the
     image of 1/2 the bracket grows toward the side of the root: the step
     doubles toward an infinite end and the gap halves toward a finite end,
-    at most 200 times. Bisection then runs to absolute tolerance 1e-12. With
+    at most 2200 times. Bisection then runs to absolute tolerance 1e-12. With
     ``closed_lo`` the map is known to lie below ``target`` at lo, which then
     bounds the root when the probes cannot get closer to it. Raises
     :class:`EstimatorRangeError` when the target cannot be bracketed.
@@ -262,7 +275,7 @@ def _invert_monotone(fn, target: float, lo: float, hi: float, closed_lo: bool = 
     end = hi if up else lo
     step = max(abs(x), 1.0)
     bracket = None
-    for _ in range(200):
+    for _ in range(2200):
         nxt = (x + step if up else x - step) if math.isinf(end) else 0.5 * (x + end)
         step *= 2.0
         if nxt in (x, end):  # rounded onto the last probe or the end
@@ -292,7 +305,8 @@ def _invert_monotone(fn, target: float, lo: float, hi: float, closed_lo: bool = 
 
 
 # Referees: the scalar routine above, one element at a time, as the inverse
-# fallbacks ran before they worked on whole arrays.
+# fallbacks ran before they worked on whole arrays (with the bracket cap
+# since raised from 200 to the array routine's bound).
 def _referee_a(spec, ys):
     def scalar(val):
         if val < 0.0:

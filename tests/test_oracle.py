@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
+import importlib
+import inspect
 import math
 
 import mpmath
@@ -18,6 +21,7 @@ from recordmle import (
     ExperimentConfig,
     RecordCapError,
     ReplicationFailureError,
+    a_inverse,
     alpha_n_exponential,
     consistency_curve,
     exact_expected_cdf_hat,
@@ -35,6 +39,7 @@ from recordmle import (
     mc_estimate,
     mc_statistic_array,
     mse_cdf_hat_series,
+    resolve_family,
 )
 
 EXP = make_exponential()
@@ -173,12 +178,53 @@ def test_exact_mse_g_regimes():
     res5 = exact_mse_g_power(1.0, 5, 0.5)
     assert not res5.diverged
     assert res5.value == pytest.approx(0.025775767363710334, rel=1e-10)
-    # k > 1: the exponential growth at T -> 0 is not integrable; the signal
-    # is a divergence flag with blown-up refinement totals, not an exception
+    # k > 1: the exponential growth at T -> 0 is not integrable; h
+    # overflows in the first panel, and the signal is a divergence flag with
+    # a non-finite value, not an exception
     div = exact_mse_g_power(1.0, 7, math.e)
     assert div.diverged
-    assert div.last_totals is not None
-    assert max(div.last_totals) > 1e100
+    assert not math.isfinite(div.value)
+    assert div.generations == 1
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_exact_mse_g_overflow_ends_in_the_first_generation(monkeypatch, n):
+    calls = [0]
+    integrate = oracle_mod.integrate_unit_interval
+
+    def counting(f):
+        def counted_f(s):
+            calls[0] += 1
+            return f(s)
+
+        return integrate(counted_f)
+
+    monkeypatch.setattr(oracle_mod, "integrate_unit_interval", counting)
+    res = exact_mse_g_power(1.0, n, math.e)
+    assert res.diverged
+    assert res.generations == 1
+    # the 8 initial panels of 15 nodes each at most
+    assert calls[0] <= 120
+
+
+BOUNDED_MEMBERS = [resolve_family(f) for f in (
+    "exponential", "lomax", "weibull:alpha=0.5", "weibull:alpha=2", "pareto:k=1",
+    "pareto:k=1.5")]
+
+
+@given(
+    spec=st.sampled_from(BOUNDED_MEMBERS),
+    size=st.integers(min_value=1, max_value=1000),
+    log_ba=st.floats(min_value=-6.0, max_value=3.0),
+    theta=st.floats(min_value=0.5, max_value=2.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_bounded_targets_never_diverge(spec, size, log_ba, theta):
+    # the integrands lie in [0, 1], so no panel can be non-finite and no
+    # refinement can run away
+    x = float(a_inverse(spec, math.exp(log_ba) / float(spec.B(theta))))
+    assert 0.0 <= exact_expected_cdf_hat(spec, theta, x, size) <= 1.0
+    assert 0.0 <= exact_mse_cdf_hat(spec, theta, x, size) <= 1.0
 
 
 def test_exact_target_domain_validation():
@@ -486,3 +532,21 @@ def test_consistency_curve_validation():
         consistency_curve(EXP, 1.0, 0.2, (10, 5), reps=500, seed=0)
     with pytest.raises(ArgumentError):
         consistency_curve(EXP, 1.0, 0.2, (), reps=500, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# package exports
+
+
+def test_package_reexports_are_in_module_all():
+    import recordmle
+
+    seen = set()
+    for node in ast.parse(inspect.getsource(recordmle)).body:
+        if isinstance(node, ast.ImportFrom) and node.module in (
+                "family", "records", "estimate", "closedform", "oracle"):
+            module = importlib.import_module(f"recordmle.{node.module}")
+            missing = {a.name for a in node.names} - set(module.__all__)
+            assert not missing, f"{node.module}.__all__ lacks {sorted(missing)}"
+            seen.add(node.module)
+    assert len(seen) == 5

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recordmle._quadrature import integrate_unit_interval
-from recordmle.errors import ArgumentError
 
 
 def test_low_degree_polynomial_exact_in_one_generation():
@@ -73,9 +72,7 @@ def test_nonfinite_values_become_divergence_not_exceptions():
 
 
 def test_nan_integrand_flagged():
-    # cap generations: every panel re-splits, so the default budget would
-    # evaluate millions of nodes before giving up
-    res = integrate_unit_interval(lambda x: math.nan, max_generations=5)
+    res = integrate_unit_interval(lambda x: math.nan)
     assert res.diverged
 
 
@@ -89,11 +86,6 @@ def test_quadratics_exact(a, b, c):
     res = integrate_unit_interval(lambda x: a * x * x + b * x + c)
     assert not res.diverged
     assert res.value == pytest.approx(a / 3.0 + b / 2.0 + c, abs=1e-12)
-
-
-def test_tolerance_validation():
-    with pytest.raises(ArgumentError):
-        integrate_unit_interval(lambda x: x, max_generations=0)
 
 
 def test_error_bound_covers_true_error():
