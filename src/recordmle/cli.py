@@ -467,8 +467,9 @@ _SUITES = {
 
 def _cmd_verify(args) -> tuple[list[dict], int]:
     _require(args.seed is not None, "verify requires --seed")
+    _require(args.workers >= 1, f"--workers must be at least 1, got {args.workers}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    results = [_SUITES[name](int(args.seed), max(1, int(args.workers))) for name in names]
+    results = [_SUITES[name](int(args.seed), args.workers) for name in names]
     passed = all(r["passed"] for r in results)
     if args.json:
         text = "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in results)

@@ -13,8 +13,12 @@ this module evaluates two independent ways:
 
 The four plug-in estimators, theta_hat = B_inv(size/T), g(theta_hat) =
 k**theta_hat, F_hat(x) and f_hat(x), are each stated once, as a map of the
-T array and its true value (``_estimator``); the moment targets, the raw
-statistic arrays and the consistency curve all draw on that one table.
+T array and its true value (``_estimator``). That one table serves both
+oracles: the quadrature integrates a target's map, or its squared error,
+on whole arrays of T, and the Monte Carlo engine applies the same map to
+simulated T; the raw statistic arrays and the consistency curve use it
+too. Only the power target's quadrature keeps its own map, in the rate
+parametrization B(theta) = theta (:func:`exact_mse_g_power`).
 
 Neither route shares code with the series evaluation, so agreement between
 the three is evidence, not tautology. Targets whose exact expectation does
@@ -80,70 +84,81 @@ _MAX_FAILURE_FRACTION = 0.01
 # quadrature against the gamma law of T
 
 
-def expect_over_gamma(h: Callable[[float], float], size: int, rate: float) -> QuadResult:
+def expect_over_gamma(h: Callable[[np.ndarray], np.ndarray], size: int,
+                      rate: float) -> QuadResult:
     """E[h(T)] for T gamma with integer shape ``size`` and rate ``rate``.
 
-    The half line is mapped onto s in (0, 1) by t = (size/rate) s / (1-s):
-    scaling by the gamma mean parks the bulk of the mass around s = 0.5 at
-    every shape, so the density spike (relative width 1/sqrt(size)) always
-    spans several panels and cannot slip between quadrature nodes. The
-    density and Jacobian are evaluated in log space so large shapes neither
-    overflow nor lose the tails. An ``OverflowError`` from ``h`` is treated
-    as an infinite integrand value; the panel holding it ends the adaptive
+    ``h`` takes a float64 array of T values and returns its values
+    elementwise, as ``FamilySpec.A`` and ``B`` do; it is called once per
+    quadrature generation, on the nodes of every pending panel. The half
+    line is mapped onto s in (0, 1) by t = (size/rate) s / (1-s): scaling
+    by the gamma mean parks the bulk of the mass around s = 0.5 at every
+    shape, so the density spike (relative width 1/sqrt(size)) always spans
+    several panels and cannot slip between quadrature nodes. The density
+    and Jacobian are evaluated in log space so large shapes neither
+    overflow nor lose the tails. Floating-point warnings are off: where h
+    overflows, the panel holding it is not finite and ends the adaptive
     rule at once with a divergence signal rather than an exception.
+    ``rate`` and ``size/rate`` must be finite and positive.
     """
     size = int(size)
     if size < 1:
         raise ArgumentError("expect_over_gamma: size must be at least 1")
     rate = float(rate)
-    if not (rate > 0.0) or math.isnan(rate):
-        raise ArgumentError("expect_over_gamma: rate must be positive")
+    scale = size / rate if rate > 0.0 else 0.0
+    if not (rate < math.inf and 0.0 < scale < math.inf):
+        raise ArgumentError(
+            f"expect_over_gamma: rate {rate!r} and size/rate {scale!r} must be finite "
+            "and positive"
+        )
     log_rate = math.log(rate)
     lg_size = math.lgamma(size)
-    scale = size / rate
     log_scale = math.log(scale)
 
-    def integrand(s: float) -> float:
+    def integrand(s: np.ndarray) -> np.ndarray:
         u = s / (1.0 - s)
         t = scale * u
-        log_weight = (
-            size * log_rate - rate * t - lg_size + log_scale + 2.0 * math.log1p(u)
-        )
+        log_weight = size * log_rate - rate * t - lg_size + log_scale + 2.0 * np.log1p(u)
         if size != 1:
-            log_weight += (size - 1) * math.log(t)
-        weight = math.exp(log_weight)
-        try:
-            hv = h(t)
-        except OverflowError:
-            hv = math.inf
-        return hv * weight
+            log_weight += (size - 1) * np.log(t)
+        return h(t) * np.exp(log_weight)
 
-    return integrate_unit_interval(integrand)
+    with np.errstate(all="ignore"):
+        return integrate_unit_interval(integrand)
 
 
 def _require_convergent(result: QuadResult, what: str) -> float:
     if result.diverged:
-        why = (f"a panel sums to {result.value!r} in generation {result.generations}"
-               if result.last_totals is None else f"last totals {result.last_totals!r}")
-        raise DivergenceError(f"{what}: quadrature diverged ({why})")
+        raise DivergenceError(f"{what}: no finite expectation (value {result.value!r} "
+                              f"after {result.generations} generations, last totals "
+                              f"{result.last_totals!r})")
     return result.value
 
 
+def _exact(target: str, spec: fam.FamilySpec, theta: float, x: Optional[float],
+           size: int) -> float:
+    """Quadrature value of a ``REGISTRY`` target, floored at 0.
+
+    The integrand is the target's map from the ``_estimator`` table, the one
+    the MC simulates: the estimate itself for a ``mean`` target, its squared
+    error against the true value for an ``mse`` target.
+    """
+    entry = REGISTRY[target]
+    size = int(size)
+    estimate, truth = _estimator(entry.estimator, spec, theta, x, size, None)
+    h = estimate if entry.kind == "mean" else (lambda t: (estimate(t) - truth) ** 2)
+    rate = float(spec.B(fam._check_theta(spec, theta)))
+    return max(0.0, _require_convergent(expect_over_gamma(h, size, rate), target))
+
+
 def exact_expected_cdf_hat(spec: fam.FamilySpec, theta: float, x: float, size: int) -> float:
-    """Exact mean of the plug-in CDF estimate: 1 - E[exp(-size A(x)/T)].
+    """Exact mean of the plug-in CDF estimate: E[1 - exp(-size A(x)/T)].
 
     The integrand is bounded, so this target always converges; the result
     is clamped to [0, 1] against quadrature roundoff at the scale of the
     1e-10 tolerance.
     """
-    b_val, a_val, _ = fam.point_constants(spec, theta, x)
-    c = int(size) * a_val
-
-    def h(t: float) -> float:
-        return math.exp(-c / t) if t > 0.0 else 0.0
-
-    value = _require_convergent(expect_over_gamma(h, size, b_val), "exact_expected_cdf_hat")
-    return min(1.0, max(0.0, 1.0 - value))
+    return min(1.0, _exact("E_cdf_hat", spec, theta, x, size))
 
 
 def exact_expected_pdf_hat(spec: fam.FamilySpec, theta: float, x: float, size: int) -> float:
@@ -154,36 +169,17 @@ def exact_expected_pdf_hat(spec: fam.FamilySpec, theta: float, x: float, size: i
     of at least 2. A genuinely divergent configuration raises
     :class:`DivergenceError`.
     """
-    b_val, a_val, ap_val = fam.point_constants(spec, theta, x)
-    c = int(size) * a_val
-
-    def h(t: float) -> float:
-        return ap_val * (int(size) / t) * math.exp(-c / t)
-
-    value = _require_convergent(expect_over_gamma(h, size, b_val), "exact_expected_pdf_hat")
-    return max(0.0, value)
+    return _exact("E_pdf_hat", spec, theta, x, size)
 
 
 def exact_mse_cdf_hat(spec: fam.FamilySpec, theta: float, x: float, size: int) -> float:
     """Exact MSE of the plug-in CDF estimate.
 
-    Assembled from the two exact exponential moments,
-    E[e^{-2cA/T}] - 2 e^{-BA} E[e^{-cA/T}] + e^{-2BA} with c = size; the
-    assembly can dip a rounding error below zero, which is floored at 0.
+    Single quadrature of the bounded squared error
+    (1 - e^{-size A(x)/t} - F(x; theta))^2, so no cancellation enters before
+    the integral.
     """
-    b_val, a_val, _ = fam.point_constants(spec, theta, x)
-    c = int(size) * a_val
-
-    def h1(t: float) -> float:
-        return math.exp(-c / t)
-
-    def h2(t: float) -> float:
-        return math.exp(-2.0 * c / t)
-
-    e1 = _require_convergent(expect_over_gamma(h1, size, b_val), "exact_mse_cdf_hat")
-    e2 = _require_convergent(expect_over_gamma(h2, size, b_val), "exact_mse_cdf_hat")
-    ba = b_val * a_val
-    return max(0.0, e2 - 2.0 * math.exp(-ba) * e1 + math.exp(-2.0 * ba))
+    return _exact("MSE_cdf_hat", spec, theta, x, size)
 
 
 def exact_mse_pdf_hat(spec: fam.FamilySpec, theta: float, x: float, size: int) -> float:
@@ -193,55 +189,38 @@ def exact_mse_pdf_hat(spec: fam.FamilySpec, theta: float, x: float, size: int) -
     (A'(x) (size/t) e^{-size A(x)/t} - f(x; theta))^2, so no cancellation
     enters before the integral.
     """
-    b_val, a_val, ap_val = fam.point_constants(spec, theta, x)
-    c = int(size) * a_val
-    f_true = ap_val * b_val * math.exp(-b_val * a_val)
-
-    def h(t: float) -> float:
-        return (ap_val * (int(size) / t) * math.exp(-c / t) - f_true) ** 2
-
-    value = _require_convergent(expect_over_gamma(h, size, b_val), "exact_mse_pdf_hat")
-    return max(0.0, value)
+    return _exact("MSE_pdf_hat", spec, theta, x, size)
 
 
 def exact_mse_theta_hat(spec: fam.FamilySpec, theta: float, size: int) -> float:
     """Exact MSE of the parameter MLE: E[(B_inv(size/T) - theta)^2]."""
-    theta = fam._check_theta(spec, theta)
-    b_val = float(spec.B(theta))
-
-    def h(t: float) -> float:
-        return (float(fam.b_inverse(spec, int(size) / t)) - theta) ** 2
-
-    value = _require_convergent(expect_over_gamma(h, size, b_val), "exact_mse_theta_hat")
-    return max(0.0, value)
+    return _exact("MSE_theta_hat", spec, theta, None, size)
 
 
 def exact_mse_g_power(theta: float, n: int, k: float) -> QuadResult:
     """Quadrature MSE of k**theta_hat in the rate parametrization B = theta.
 
-    Returns the raw :class:`QuadResult`: for k > 1 the integrand grows like
-    exp(c/t) at t -> 0 and the expectation does not exist. Where h
-    overflows at a node, the result reports divergence with a non-finite
-    value and no ``last_totals``. A size whose nodes all stay finite (k
-    near 1) can still come back converged although no MSE exists.
-    Counterpart of :func:`recordmle.closedform.mse_g_power_series`.
+    Returns the raw :class:`QuadResult`. For k > 1 the expectation does not
+    exist at any n: k**(2 theta_hat) = exp(c/T) with theta_hat = n/T and
+    c = 2 n ln k > 0, and exp(c/t) t^(n-1) is not integrable at t = 0. That
+    case comes back ``diverged`` with an infinite value and 0 generations,
+    without evaluating the integrand. Counterpart of
+    :func:`recordmle.closedform.mse_g_power_series`.
     """
     n = int(n)
     if n < 1:
         raise ArgumentError("exact_mse_g_power: n must be at least 1")
     k = float(k)
-    if not (k > 0.0) or k == 1.0 or math.isnan(k):
+    if not (k > 0.0) or k == 1.0:
         raise ArgumentError("exact_mse_g_power: k must be positive and not 1")
     theta = float(theta)
     if not (theta > 0.0):
         raise DomainError("exact_mse_g_power: theta must be positive")
+    if k > 1.0:
+        return QuadResult(math.inf, math.inf, True, 0, None)
     log_k = math.log(k)
     g_true = k**theta
-
-    def h(t: float) -> float:
-        return (math.exp(n * log_k / t) - g_true) ** 2
-
-    return expect_over_gamma(h, n, theta)
+    return expect_over_gamma(lambda t: (np.exp(n * log_k / t) - g_true) ** 2, n, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +320,10 @@ class Target:
     ``needs_x``, k is the base of the power target. ``series`` gives the
     truncated :class:`closedform.SeriesValue` (None: no series for a general
     family); ``exact`` gives the quadrature value or raises
-    :class:`DivergenceError`. The MC route simulates the plug-in
-    ``estimator`` of the ``_estimator`` table: its MC value is the mean of
-    the estimator (``kind`` "mean") or of its squared error against the true
-    value ("mse"). The lambdas look closedform functions up at call time,
+    :class:`DivergenceError`. Both oracles take the plug-in ``estimator`` of
+    the ``_estimator`` table (the power target's quadrature excepted): the
+    mean of the estimator (``kind`` "mean") or of its squared error against
+    the true value ("mse"). The lambdas look closedform functions up at call time,
     so wrappers set on that module (the benchmark's tracing) see the calls.
     """
 
@@ -464,7 +443,9 @@ def _mc_stat_array(
         raise ArgumentError(f"unknown estimator source {source!r}; known: {SOURCES}")
     if reps < 1:
         raise ArgumentError("reps must be positive")
-    workers = max(1, int(workers))
+    workers = int(workers)
+    if workers < 1:
+        raise ArgumentError(f"workers must be at least 1, got {workers}")
     blocks = [
         (i, min(_BLOCK, reps - i * _BLOCK)) for i in range((reps + _BLOCK - 1) // _BLOCK)
     ]

@@ -24,6 +24,7 @@ import sys
 import time
 
 import mpmath
+import numpy as np
 
 from recordmle import (
     ExperimentConfig,
@@ -263,7 +264,7 @@ def test_criterion_8_oracle_self_consistency():
         res = expect_over_gamma(lambda t, p=p: t**p, size, rate)
         want = math.exp(math.lgamma(size + p) - math.lgamma(size)) / rate**p
         worst = max(worst, abs(res.value - want) / max(1.0, abs(want)))
-    bessel = expect_over_gamma(lambda t: math.exp(-1.0 / t), 1, 1.0).value
+    bessel = expect_over_gamma(lambda t: np.exp(-1.0 / t), 1, 1.0).value
     with mpmath.workdps(40):
         # independent high-precision route: direct integral, not our engine
         reference = float(

@@ -458,6 +458,14 @@ def test_verify_requires_seed():
     run_cli("verify", "--suite", "theorem3", expect=2)
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_worker(workers):
+    proc = run_cli("verify", "--suite", "theorem1", "--seed", "1", "--workers", workers,
+                   expect=2)
+    assert proc.stdout == ""
+    assert "--workers must be at least 1" in proc.stderr
+
+
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.stdout.strip().endswith("0.1.0")
@@ -496,15 +504,15 @@ _SEEDED_STDOUT = [
     ("families",
      "0abfa8411878b4e83616050764bf4688725a566889c9c4555e1daedd62bf420e"),
     ("verify --suite theorem3 --seed 1 --json",
-     "3c18f46e80c0bed1ea7215aa099433a2a94009c2ab0a0245f9b39fe7d7b4d946"),
+     "a19f94c1a1762b7617b091ea0cd52537253e5f308dd31bf4f3d9806975b34dcc"),
     ("verify --suite theorem4 --seed 1 --json",
-     "d663027eb34b8f28785ee614e787dece595e1d3c127e87da3ddacc908e988070"),
+     "2801a600662cce4dddd233610ff8c3cfde467b2fc63ffd05dcc112c36de07373"),
     ("verify --suite theorem1 --seed 1 --json",
      "d6ceb73ea7333f11fc6dece8e9a718aa51315fdd519ff30b3fdc527a04928de6"),
     ("verify --suite example1 --seed 1 --json",
      "c73ca45efd54d139def846d13bf903e92f2aa02e98ee8d9271e9855ba8591309"),
     ("verify --suite theorem5 --seed 1 --json",
-     "e39ff44e2eadcf93f039c23c1674ddf73db126403bf14b13e85bbdc35e9d7d3c"),
+     "129204e811effaa2ef8ce61194dc57e97fc3af2ede498352193b03f63568fd9d"),
     ("verify --suite consistency --seed 1 --json",
      "a100358a3538c129a22d37224b1d8a3c808670005e9a4beb19563667cc2e245b"),
 ]

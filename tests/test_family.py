@@ -402,7 +402,7 @@ def test_pdf_integrates_to_one(spec, theta):
 
     def integrand(s):
         x = lo + s / (1.0 - s)
-        return float(pdf(spec, theta, x)) / (1.0 - s) ** 2
+        return pdf(spec, theta, x) / (1.0 - s) ** 2
 
     res = integrate_unit_interval(integrand)
     assert not res.diverged

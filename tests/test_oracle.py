@@ -23,6 +23,8 @@ from recordmle import (
     ReplicationFailureError,
     a_inverse,
     alpha_n_exponential,
+    b_inverse,
+    cdf,
     consistency_curve,
     exact_expected_cdf_hat,
     exact_expected_pdf_hat,
@@ -35,10 +37,13 @@ from recordmle import (
     ks_two_sample,
     make_exponential,
     make_lomax,
+    make_pareto,
     make_weibull,
     mc_estimate,
     mc_statistic_array,
     mse_cdf_hat_series,
+    pdf,
+    quantile,
     resolve_family,
 )
 
@@ -73,7 +78,7 @@ def test_gamma_moment_large_shape():
 
 def test_exponential_transform_is_bessel():
     # E[exp(-1/T)] for unit-rate exponential T equals 2 K_1(2)
-    res = expect_over_gamma(lambda t: math.exp(-1.0 / t), 1, 1.0)
+    res = expect_over_gamma(lambda t: np.exp(-1.0 / t), 1, 1.0)
     assert not res.diverged
     with mpmath.workdps(30):
         want = float(2 * mpmath.besselk(1, 2))
@@ -93,6 +98,16 @@ def test_expect_over_gamma_validation():
         expect_over_gamma(lambda t: 1.0, 3, 0.0)
     with pytest.raises(ArgumentError):
         expect_over_gamma(lambda t: 1.0, 3, math.nan)
+
+
+def test_expect_over_gamma_rejects_a_rate_out_of_float_range():
+    # an infinite rate, and a rate so small that the gamma mean size/rate
+    # overflows, are argument errors rather than a math error or a
+    # divergence of a bounded target
+    with pytest.raises(ArgumentError):
+        expect_over_gamma(lambda t: 1.0, 3, math.inf)
+    with pytest.raises(ArgumentError):
+        exact_expected_cdf_hat(EXP, 1e308, 1e300, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +193,13 @@ def test_exact_mse_g_regimes():
     res5 = exact_mse_g_power(1.0, 5, 0.5)
     assert not res5.diverged
     assert res5.value == pytest.approx(0.025775767363710334, rel=1e-10)
-    # k > 1: the exponential growth at T -> 0 is not integrable; h
-    # overflows in the first panel, and the signal is a divergence flag with
-    # a non-finite value, not an exception
+    # k > 1: the exponential growth at T -> 0 is not integrable; the
+    # signal is a divergence flag with a non-finite value, not an exception,
+    # and it comes from the theorem before any quadrature generation
     div = exact_mse_g_power(1.0, 7, math.e)
     assert div.diverged
     assert not math.isfinite(div.value)
-    assert div.generations == 1
+    assert div.generations == 0
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -202,9 +217,19 @@ def test_exact_mse_g_overflow_ends_in_the_first_generation(monkeypatch, n):
     monkeypatch.setattr(oracle_mod, "integrate_unit_interval", counting)
     res = exact_mse_g_power(1.0, n, math.e)
     assert res.diverged
-    assert res.generations == 1
-    # the 8 initial panels of 15 nodes each at most
-    assert calls[0] <= 120
+    # k > 1 diverges by theorem, so no generation runs and h is never called
+    assert res.generations == 0
+    assert calls[0] == 0
+
+
+def test_exact_mse_g_diverges_for_every_size_just_above_one():
+    # exp(c/t) t^(n-1) is not integrable at 0 for any c > 0, however small,
+    # though at k = 1.001 no quadrature node comes near the growth
+    for n in range(1, 60):
+        res = exact_mse_g_power(1.0, n, 1.001)
+        assert res.diverged, n
+        assert res.value == math.inf
+        assert res.last_totals is None
 
 
 BOUNDED_MEMBERS = [resolve_family(f) for f in (
@@ -225,6 +250,29 @@ def test_bounded_targets_never_diverge(spec, size, log_ba, theta):
     x = float(a_inverse(spec, math.exp(log_ba) / float(spec.B(theta))))
     assert 0.0 <= exact_expected_cdf_hat(spec, theta, x, size) <= 1.0
     assert 0.0 <= exact_mse_cdf_hat(spec, theta, x, size) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [EXP, make_lomax(), make_weibull(2.0), make_weibull(0.5), make_pareto(1.5)],
+    ids=lambda s: s.name,
+)
+def test_estimator_table_matches_the_plug_in_functions(spec):
+    # both oracles integrate or simulate these maps, so a wrong map would
+    # pass both; check each against the library's own plug-in functions
+    theta, size = 1.3, 7
+    x = float(quantile(spec, theta, 0.6))
+    t = np.linspace(0.2, 5.0, 49) * size / float(spec.B(theta))
+    theta_hats = b_inverse(spec, size / t)
+    table = oracle_mod._estimator
+    estimate, truth = table("theta_hat", spec, theta, None, size, None)
+    np.testing.assert_allclose(estimate(t), theta_hats, rtol=1e-13, atol=0.0)
+    assert truth == theta
+    for name, plug_in in (("cdf_hat", cdf), ("pdf_hat", pdf)):
+        estimate, truth = table(name, spec, theta, x, size, None)
+        want = [plug_in(spec, th, x) for th in theta_hats]
+        np.testing.assert_allclose(estimate(t), want, rtol=1e-13, atol=0.0)
+        assert truth == pytest.approx(plug_in(spec, theta, x), rel=1e-13, abs=0.0)
 
 
 def test_exact_target_domain_validation():
@@ -262,6 +310,14 @@ def test_mc_arrays_deterministic_and_worker_invariant():
     assert np.array_equal(a, d)
     e = mc_statistic_array(_cfg(seed=6), "sample", "theta_hat")
     assert not np.array_equal(a, e)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_mc_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ArgumentError):
+        mc_statistic_array(_cfg(), "sample", "theta_hat", workers=workers)
+    with pytest.raises(ArgumentError):
+        mc_estimate(_cfg(), "MSE_theta_hat", "sample", workers=workers)
 
 
 def test_mc_sources_differ_but_share_law():
