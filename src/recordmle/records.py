@@ -14,7 +14,11 @@ record has infinite mean already at m = 2), so it runs under a hard cap on
 base draws and raises :class:`~recordmle.errors.RecordCapError` beyond it.
 It finds records on the uniforms: the quantile map is non-decreasing (A is
 increasing), so a base draw can be an upper record only if its uniform is an
-upper record of the uniforms, and only those few uniforms are mapped.
+upper record of the uniforms, and only those few uniforms are mapped. The
+uniforms come in fixed logical chunks, each drawn in pieces of at most 2**16;
+the tail of the last chunk is drawn and discarded, so the stream ends where
+whole chunks would leave it, while the memory held stays a few pieces
+however high the cap is.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ __all__ = [
 
 _SEQUENTIAL_CAP = 10_000_000
 _FIRST_CHUNK = 256
+# the most uniforms the sequential sampler holds at once (512 KiB of float64)
+_PIECE = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,6 +85,9 @@ class RecordSequence:
             raise ArgumentError("RecordSequence: empty")
         if len(self.values) != len(self.indices):
             raise ArgumentError("RecordSequence: values/indices length mismatch")
+        # NaN compares false, so the strict-increase check alone would pass it
+        if np.isnan(np.asarray(self.values)).any():
+            raise ArgumentError("RecordSequence: NaN value")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ArgumentError("RecordSequence: values must strictly increase")
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
@@ -166,19 +175,26 @@ def sample_records_sequential(
 ) -> RecordSequence:
     """Simulate m upper records by drawing base observations until they occur.
 
-    Uniforms are drawn in growing chunks (starting at 256, doubling to 2**20)
-    so the layout is deterministic given the stream. Records are found on the
-    uniforms: ``quantile`` is non-decreasing, as every ``FamilySpec``'s is
-    because A is increasing, so only the upper records of the uniforms go
-    through it (its domain check runs only on those). A record is a value
-    strictly above every earlier one, so a float64 tie, two uniforms mapped
-    to one value, is not; the result equals mapping every draw and
-    extracting its records. Raises :class:`~recordmle.errors.RecordCapError` if
-    ``max_draws`` base draws do not contain m records. Returned positions
-    are the true base-sequence indices.
+    Uniforms are consumed in growing logical chunks (starting at 256, doubling
+    to 2**20, the last one cut at ``max_draws``), so the layout, and where the
+    stream is left, are deterministic given the stream. Each chunk is drawn
+    in pieces of at most 2**16 uniforms; once the m-th record is found, the
+    rest of its chunk is still drawn, piece by piece, and discarded. The
+    working set is therefore a few pieces, whatever ``max_draws`` is.
+    Records are found on the uniforms: ``quantile`` is non-decreasing, as
+    every ``FamilySpec``'s is because A is increasing, so only the upper
+    records of the uniforms go through it (its domain check runs only on
+    those). A record is a value strictly above every earlier one, so a
+    float64 tie, two uniforms mapped to one value, is not; the result equals
+    mapping every draw and extracting its records. Raises
+    :class:`~recordmle.errors.RecordCapError` if ``max_draws`` base draws do
+    not contain m records. Returned positions are the true base-sequence
+    indices.
     """
     if m < 1:
         raise ArgumentError("sample_records_sequential: m must be at least 1")
+    if max_draws < 1:
+        raise ArgumentError("sample_records_sequential: max_draws must be at least 1")
     gen = as_generator(rng_stream)
     values: list[float] = []
     indices: list[int] = []
@@ -192,18 +208,21 @@ def sample_records_sequential(
                 f"{m} records not reached within {max_draws} base draws "
                 f"({len(values)} found)"
             )
-        size = min(chunk, max_draws - offset)
-        u = gen.random(size)
-        cand = np.flatnonzero(u > cur_u)
-        if cand.size:
-            cand = cand[_record_positions(u[cand], cur_u)]
-            x = np.asarray(fam.quantile(spec, theta, u[cand]), dtype=float)
-            hits = _record_positions(x, cur_max)[: m - len(values)]
-            values.extend(x[hits].tolist())
-            indices.extend((offset + cand[hits]).tolist())
-            cur_u = float(u[cand[-1]])
-            cur_max = max(cur_max, float(x.max()))
-        offset += size
+        end = min(offset + chunk, max_draws)
+        while offset < end:
+            size = min(_PIECE, end - offset)
+            u = gen.random(size)
+            if len(values) < m:
+                cand = np.flatnonzero(u > cur_u)
+                if cand.size:
+                    cand = cand[_record_positions(u[cand], cur_u)]
+                    x = np.asarray(fam.quantile(spec, theta, u[cand]), dtype=float)
+                    hits = _record_positions(x, cur_max)[: m - len(values)]
+                    values.extend(x[hits].tolist())
+                    indices.extend((offset + cand[hits]).tolist())
+                    cur_u = float(u[cand[-1]])
+                    cur_max = max(cur_max, float(x.max()))
+            offset += size
         chunk = min(chunk * 2, 1 << 20)
     return RecordSequence(values=tuple(values), indices=tuple(indices))
 

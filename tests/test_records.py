@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from recordmle import (
     sample_records_direct,
     sample_records_sequential,
 )
-from recordmle import family
+from recordmle import family, records
 from recordmle._streams import make_generator
 from recordmle.records import parse_csv_values, serialize_csv
 
@@ -101,6 +102,15 @@ def test_record_sequence_validates_monotonicity():
         RecordSequence(values=(1.0, 2.0), indices=(3, 1))
 
 
+@pytest.mark.parametrize(
+    "values", [(1.0, math.nan, 2.0), (1.0, 2.0, math.nan)], ids=["interior", "trailing"]
+)
+def test_record_sequence_rejects_nan(values):
+    # NaN compares false, so an interior NaN slips past the increase check
+    with pytest.raises(ArgumentError, match="NaN"):
+        RecordSequence(values=values, indices=(0, 1, 2))
+
+
 def test_sample_iid_reproducible():
     spec = make_exponential()
     a = sample_iid(spec, 2.0, 50, rng_stream=(7, 0))
@@ -149,6 +159,25 @@ def test_records_sequential_cap():
         sample_records_sequential(spec, 1.0, 8, rng_stream=(0, 0), max_draws=16)
 
 
+@pytest.mark.parametrize("max_draws", [0, -5])
+def test_records_sequential_rejects_invalid_cap(max_draws):
+    with pytest.raises(ArgumentError, match="max_draws"):
+        sample_records_sequential(make_exponential(), 1.0, 3, 1, max_draws=max_draws)
+
+
+def test_records_sequential_memory_does_not_grow_with_cap():
+    # 40 records never occur within the default 1e7 draws, so every chunk up
+    # to the cap is drawn; only pieces of it are held at once
+    tracemalloc.start()
+    try:
+        with pytest.raises(RecordCapError):
+            sample_records_sequential(make_exponential(), 1.0, 40, (1, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def _literal_sequential(spec, theta, m, gen, max_draws):
     """The sequential sampler by definition: map every draw of each chunk
     through the quantile, then keep the strict running-maximum records."""
@@ -188,24 +217,34 @@ def _sequential(spec, theta, m, gen, max_draws):
 _NO_A_INV = dataclasses.replace(make_lomax(), A_inv=None)
 
 
+def _case(spec, seeds, cap, piece=None, id=None):
+    return pytest.param(spec, seeds, 8, cap, piece, id=id or f"{spec.name}-{seeds}-8-{cap}")
+
+
 @pytest.mark.parametrize(
-    "spec,seeds,max_m,cap",
+    "spec,seeds,max_m,cap,piece",
     [
-        (make_exponential(), 100, 8, 200_000),
-        (make_lomax(), 100, 8, 200_000),
-        (make_weibull(2.0), 100, 8, 200_000),
-        (make_weibull(0.5), 100, 8, 200_000),
-        (make_pareto(1.5), 100, 8, 200_000),
+        _case(make_exponential(), 100, 200_000),
+        _case(make_lomax(), 100, 200_000),
+        _case(make_weibull(2.0), 100, 200_000),
+        _case(make_weibull(0.5), 100, 200_000),
+        _case(make_pareto(1.5), 100, 200_000),
         # the bisection fallback of a_inverse; the literal rule inverts every
         # draw, so fewer seeds and a lower cap keep the case quick
-        pytest.param(_NO_A_INV, 6, 8, 1_000, id="lomax-no-A_inv"),
+        _case(_NO_A_INV, 6, 1_000, id="lomax-no-A_inv"),
+        # pieces of 100 split every chunk, meet the cap of 700 inside a piece
+        # and leave part of a chunk to discard
+        _case(make_exponential(), 100, 20_000, piece=100, id="exponential-piece-100"),
     ],
-    ids=lambda v: getattr(v, "name", None),
 )
-def test_records_sequential_matches_literal_definition(spec, seeds, max_m, cap):
+def test_records_sequential_matches_literal_definition(
+    spec, seeds, max_m, cap, piece, monkeypatch
+):
     # records found on the uniforms equal the literal rule on the mapped draws:
     # values, indices and cap messages, with a cap cutting a chunk short on
     # every fifth seed
+    if piece is not None:
+        monkeypatch.setattr(records, "_PIECE", piece)
     for m in range(1, max_m + 1):
         for seed in range(seeds):
             max_draws = 700 if seed % 5 == 0 else cap
@@ -215,20 +254,23 @@ def test_records_sequential_matches_literal_definition(spec, seeds, max_m, cap):
             assert got == want, (spec.name, m, seed)
 
 
-def test_records_sequential_shared_stream_matches_literal_definition():
+def test_records_sequential_shared_stream_matches_literal_definition(monkeypatch):
     # as the MC `records` source draws them: 200 sequences in turn from one
     # generator, capped ones included, so each call leaves the stream where
-    # the literal rule would
+    # the literal rule would; pieces of 100 split the chunks and leave tails
+    # to discard
     spec = make_exponential()
-    ours, literal = make_generator(3, 0), make_generator(3, 0)
-    capped = 0
-    for _ in range(200):
-        got = _outcome(_sequential, spec, 1.0, 10, ours, 100_000)
-        want = _outcome(_literal_sequential, spec, 1.0, 10, literal, 100_000)
-        assert got == want
-        capped += isinstance(got, str)
-    assert 0 < capped < 200
-    assert ours.random() == literal.random()
+    for piece in (records._PIECE, 100):
+        monkeypatch.setattr(records, "_PIECE", piece)
+        ours, literal = make_generator(3, 0), make_generator(3, 0)
+        capped = 0
+        for _ in range(200):
+            got = _outcome(_sequential, spec, 1.0, 10, ours, 100_000)
+            want = _outcome(_literal_sequential, spec, 1.0, 10, literal, 100_000)
+            assert got == want, piece
+            capped += isinstance(got, str)
+        assert 0 < capped < 200
+        assert ours.random() == literal.random()
 
 
 def test_records_sequential_strict_on_value_ties(monkeypatch):
