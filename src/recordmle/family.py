@@ -73,6 +73,9 @@ _INVERT_TOL = 1e-12
 # room for rounding.
 _BRACKET_STEPS = 2200
 _GRID_SIZE = 64
+# A must exceed this at the largest float below support_hi: just below
+# -log(2**-53), about 36.7, where the largest uniform double lands at B = 1.
+_A_TOP = 36.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,15 +83,17 @@ class FamilySpec:
     """A concrete member of the first-type exponential family.
 
     ``A`` must be strictly increasing on ``[support_lo, support_hi)`` with
-    ``A(support_lo) = 0``; ``B`` must be positive on the open interval
-    ``theta_domain``. ``A``, ``A_prime`` and ``B`` must accept numpy
-    arrays: the cdf/pdf maps, the sample MLE, the MC engine, the ``eval``
-    grids and the inverse fallback call them on whole arrays, and
-    :func:`validate_family` fails a scalar-only callable. ``A_inv`` and
-    ``B_inv`` are optional and, when given, are called on arrays; when
+    ``A(support_lo) = 0`` and must grow past 36 before ``support_hi`` (its
+    float64 stand-in for A -> infinity); ``B`` must be positive on the open
+    interval ``theta_domain``. ``A``, ``A_prime`` and ``B`` must accept
+    numpy arrays as well as scalars: the cdf/pdf maps, the sample MLE, the
+    MC engine, the ``eval`` grids and the inverse fallback call them on
+    whole arrays, and :func:`point_constants` on scalars. ``A_inv`` and
+    ``B_inv`` are optional and, when given, are called on arrays only; when
     ``None``, a bracketed bisection with absolute tolerance 1e-12 inverts
     ``A`` or ``B`` on the whole array, so custom families can be registered
-    with only ``A`` and ``B``.
+    with only ``A`` and ``B``. :func:`validate_family` checks each of these
+    the way the code calls it, and fails a scalar-only callable.
 
     Instances are immutable and safe to share across worker threads.
     """
@@ -106,7 +111,12 @@ class FamilySpec:
 
 @dataclass(frozen=True, slots=True)
 class CheckResult:
-    """Outcome of one validation invariant."""
+    """Outcome of one validation invariant.
+
+    ``residual`` is the worst entry of the check's error array, which must
+    lie below the check's tolerance (a negated margin for the sign checks);
+    ``first_failure`` is that entry's grid point when the check fails.
+    """
 
     name: str
     passed: bool
@@ -328,175 +338,113 @@ def b_inverse(spec: FamilySpec, y):
 # validation
 
 
-def _roundtrip_check(name: str, fn, inverse, grid, detail: str) -> CheckResult:
-    """Worst relative error of ``inverse(fn(v))`` against v over ``grid``."""
-    worst, first, note = 0.0, None, detail
-    for v in grid:
-        try:
-            back = float(inverse(float(fn(v))))
-            rel, why = abs(back - v) / max(1.0, abs(v)), detail
-        except Exception as exc:
-            rel, why = math.inf, f"{type(exc).__name__}: {exc}"
-        if rel > worst:
-            worst, first, note = rel, float(v), why
-    ok = worst <= _ROUNDTRIP_TOL
-    return CheckResult(name, ok, worst, None if ok else first, note)
+def _verdict(name: str, tol: float, grid, detail: str, errors) -> CheckResult:
+    """Check ``name``: every entry of ``errors()`` lies below ``tol``.
 
-
-def _safe_eval(fn, arg):
+    ``errors`` computes one error per point of ``grid`` as an array, under
+    ``np.errstate(all="ignore")``; NaN counts as infinite. The residual is
+    the worst entry, and a failure names its grid point. An exception from
+    ``errors`` fails the check at the first grid point, with its type and
+    text after ``detail``.
+    """
     try:
-        return float(fn(arg)), None
+        with np.errstate(all="ignore"):
+            err = np.broadcast_to(np.asarray(errors(), dtype=float), np.shape(grid))
     except Exception as exc:  # report, never crash validation
-        return math.nan, f"{type(exc).__name__}: {exc}"
+        err = np.full(np.shape(grid), math.inf)
+        detail = f"{detail}: {type(exc).__name__}: {exc}"
+    err = np.where(np.isnan(err), math.inf, err)
+    i = int(np.argmax(err))
+    ok = bool(err[i] < tol)
+    return CheckResult(name, ok, float(err[i]), None if ok else float(grid[i]), detail)
 
 
 def _array_check(spec: FamilySpec, xs: np.ndarray, thetas: np.ndarray) -> CheckResult:
-    """A and A' called once on the array ``xs``, B once on ``thetas``, against scalar calls."""
-    worst, first = 0.0, None
-    for label, fn, grid in (("A", spec.A, xs), ("A'", spec.A_prime, xs), ("B", spec.B, thetas)):
-        try:
-            vec = np.asarray(fn(grid), dtype=float)
-            if vec.shape != grid.shape:
-                raise ValueError(f"shape {grid.shape} in, shape {vec.shape} out")
-        except Exception as exc:  # report, never crash validation
-            return CheckResult("A_accepts_arrays", False, math.inf, float(grid[0]),
-                               f"{label} on an array: {type(exc).__name__}: {exc}")
-        scalar = np.array([_safe_eval(fn, x)[0] for x in grid])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(vec == scalar, 0.0, np.abs(vec - scalar) / np.abs(scalar))
-        rel = np.nan_to_num(rel, nan=math.inf)
-        i = int(np.argmax(rel))
-        if rel[i] > worst:
-            worst, first = float(rel[i]), float(grid[i])
-    ok = worst <= _ROUNDTRIP_TOL
-    return CheckResult(
-        "A_accepts_arrays", ok, worst, None if ok else first,
-        "A and A' on the support grid and B on the theta grid, each as one "
-        "array, against scalar calls",
+    """A and A' once on the array ``xs`` and B once on ``thetas``, against one
+    scalar call per point; the map with the worst relative gap is reported."""
+
+    def gap(fn, grid):
+        vec = np.asarray(fn(grid), dtype=float)
+        if vec.shape != grid.shape:
+            raise ValueError(f"shape {grid.shape} in, shape {vec.shape} out")
+        scalar = np.array([float(fn(float(v))) for v in grid])
+        return np.where(vec == scalar, 0.0, np.abs(vec - scalar) / np.abs(scalar))
+
+    maps = (("A", spec.A, xs), ("A'", spec.A_prime, xs), ("B", spec.B, thetas))
+    return max(
+        (_verdict("A_accepts_arrays", _ROUNDTRIP_TOL, grid, f"{label} on an array",
+                  lambda fn=fn, grid=grid: gap(fn, grid)) for label, fn, grid in maps),
+        key=lambda check: check.residual,
     )
 
 
 def validate_family(spec: FamilySpec) -> ValidationReport:
-    """Run every family invariant on deterministic grids.
+    """Run every family invariant on deterministic grids of 64 points.
 
-    Checks, in order: A strictly increasing; A zero at the lower endpoint
-    (limit grid when the endpoint itself is not evaluable); the A and B
-    inverse roundtrips within 1e-9 relative; B positive on the parameter
-    grid; A' positive and within 1e-6 relative of a central finite
-    difference of A; A and A' called once on the whole support grid and B
-    once on the whole parameter grid, matching the scalar calls within 1e-9
-    relative. Non-finite callable output is reported as a failure of the
-    corresponding check, not raised.
+    ``A_accepts_arrays`` runs first: A and A' called once on the whole
+    support grid and B once on the whole parameter grid must match one
+    scalar call per point within 1e-9 relative. It is the only check that
+    calls the maps on scalars; when it fails, the report holds it alone,
+    because every later check calls the maps on arrays. Then, in order: A
+    strictly increasing; A zero at the lower endpoint (within 1e-9, or,
+    when A is not finite there, within 1e-6 at lo plus 4**-12 times the
+    support's width, or 4**-12 on an infinite support); ``A_unbounded``, A
+    above 36 at the largest float below the upper endpoint; the A and B
+    inverse roundtrips, through :func:`a_inverse` and :func:`b_inverse` on
+    the whole grid, within 1e-9 relative; B positive; A' positive and
+    within 1e-6 relative of a central finite difference of A. A non-finite
+    value or an exception is reported as a failure of its check, not
+    raised.
     """
-    checks: list[CheckResult] = []
     s = (np.arange(_GRID_SIZE) + 0.5) / _GRID_SIZE
-    xs = _to_interval(s, spec.support_lo, spec.support_hi)
-    thetas = _to_interval(s, *spec.theta_domain)
+    lo, hi = spec.support_lo, spec.support_hi
+    xs, thetas = _to_interval(s, lo, hi), _to_interval(s, *spec.theta_domain)
+    arrays = _array_check(spec, xs, thetas)
+    if not arrays.passed:
+        return ValidationReport(family=spec.name, checks=(arrays,))
+    A = lambda v: np.asarray(spec.A(v), dtype=float)
+    B = lambda v: np.asarray(spec.B(v), dtype=float)
 
-    # A strictly increasing, pairwise on the grid
-    a_vals = np.array([_safe_eval(spec.A, x)[0] for x in xs])
-    finite = np.isfinite(a_vals)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        checks.append(
-            CheckResult(
-                "A_increasing", False, math.inf, float(xs[bad]),
-                "A returned a non-finite value on the support grid",
-            )
-        )
-    else:
-        diffs = np.diff(a_vals)
-        ok = bool((diffs > 0.0).all())
-        worst = float(diffs.min())
-        first = None if ok else float(xs[int(np.argmin(diffs > 0.0)) + 1])
-        checks.append(
-            CheckResult(
-                "A_increasing", ok, max(0.0, -worst), first,
-                "pairwise increase of A over the support grid",
-            )
-        )
+    def increase():
+        steps = np.diff(A(xs))
+        return np.where(np.isfinite(steps), -steps, math.inf)
 
-    # A(a) = 0, by direct evaluation or by a limit grid toward a
-    a_at_lo, err = _safe_eval(spec.A, spec.support_lo)
-    if err is None and math.isfinite(a_at_lo):
-        ok = abs(a_at_lo) <= _ROUNDTRIP_TOL
-        checks.append(
-            CheckResult(
-                "A_zero_at_lower", ok, abs(a_at_lo),
-                None if ok else spec.support_lo,
-                "A evaluated at the lower support endpoint",
-            )
-        )
-    else:
-        scale = 1.0 if math.isinf(spec.support_hi) else (
-            spec.support_hi - spec.support_lo
-        )
-        approach = spec.support_lo + scale * 4.0 ** -np.arange(1, 13)
-        vals = np.abs([_safe_eval(spec.A, x)[0] for x in approach])
-        ok = bool(
-            np.isfinite(vals).all()
-            and (np.diff(vals) <= 0.0).all()
-            and vals[-1] <= 1e-6
-        )
-        checks.append(
-            CheckResult(
-                "A_zero_at_lower", ok, float(vals[-1]),
-                None if ok else float(approach[-1]),
-                "limit of |A| on a grid approaching the open lower endpoint",
-            )
-        )
+    def roundtrip(inverse, fn, grid):
+        return lambda: np.abs(inverse(spec, fn(grid)) - grid) / np.maximum(1.0, np.abs(grid))
 
-    checks.append(_roundtrip_check(
-        "A_inv_roundtrip", spec.A, lambda y: a_inverse(spec, y), xs,
-        "A_inv(A(x)) relative error on the support grid",
-    ))
-    checks.append(_roundtrip_check(
-        "B_inv_roundtrip", spec.B, lambda y: b_inverse(spec, y), thetas,
-        "B_inv(B(theta)) relative error on the theta grid",
-    ))
+    def derivative():
+        h = np.minimum(1e-5 * np.maximum(np.abs(xs), 1e-8), 0.5 * np.minimum(xs - lo, hi - xs))
+        fd = (A(xs + h) - A(xs - h)) / (2.0 * h)
+        ap = np.asarray(spec.A_prime(xs), dtype=float)
+        return np.where(ap > 0.0, np.abs(fd - ap) / ap, math.inf)
 
-    # B positive on the parameter grid
-    b_vals = np.array([_safe_eval(spec.B, t)[0] for t in thetas])
-    ok = bool(np.isfinite(b_vals).all() and (b_vals > 0.0).all())
-    first = None if ok else float(thetas[int(np.argmax(~(np.isfinite(b_vals) & (b_vals > 0.0))))])
-    checks.append(
-        CheckResult(
-            "B_positive", ok,
-            0.0 if ok else float(np.nan_to_num(b_vals, nan=-math.inf).min()),
-            first, "sign of B over the parameter grid",
-        )
+    ends = np.array([lo, lo + (1.0 if math.isinf(hi) else hi - lo) * 4.0 ** -12])
+    zero = _verdict("A_zero_at_lower", _ROUNDTRIP_TOL, ends[:1],
+                    "A evaluated at the lower support endpoint", lambda: np.abs(A(ends[:1])))
+    if not math.isfinite(zero.residual):  # an open endpoint: judge the limit instead
+        zero = _verdict("A_zero_at_lower", 1e-6, ends[1:],
+                        "|A| close to the open lower endpoint", lambda: np.abs(A(ends[1:])))
+    top = np.array([math.nextafter(hi, -math.inf)])
+    checks = (
+        arrays,
+        _verdict("A_increasing", 0.0, xs[1:],
+                 "pairwise increase of A over the support grid", increase),
+        zero,
+        _verdict("A_unbounded", 0.0, top,
+                 f"{_A_TOP} minus A at the largest float below the upper endpoint",
+                 lambda: _A_TOP - A(top)),
+        _verdict("A_inv_roundtrip", _ROUNDTRIP_TOL, xs,
+                 "A_inv(A(x)) relative error on the support grid",
+                 roundtrip(a_inverse, A, xs)),
+        _verdict("B_inv_roundtrip", _ROUNDTRIP_TOL, thetas,
+                 "B_inv(B(theta)) relative error on the theta grid",
+                 roundtrip(b_inverse, B, thetas)),
+        _verdict("B_positive", 0.0, thetas, "sign of B over the parameter grid",
+                 lambda: -B(thetas)),
+        _verdict("A_prime_positive_matches_fd", _DERIVATIVE_TOL, xs,
+                 "A' sign and agreement with a central finite difference of A", derivative),
     )
-
-    # A' positive and consistent with a central finite difference
-    worst, first = 0.0, None
-    positive = True
-    for x in xs:
-        gap = x - spec.support_lo
-        if not math.isinf(spec.support_hi):
-            gap = min(gap, spec.support_hi - x)
-        h = min(1e-5 * max(abs(x), 1e-8), 0.5 * gap)
-        if h <= 0.0:
-            continue
-        ap, err = _safe_eval(spec.A_prime, x)
-        if err is not None or not math.isfinite(ap) or ap <= 0.0:
-            positive = False
-            first = first if first is not None else float(x)
-            worst = math.inf
-            continue
-        fd = (float(spec.A(x + h)) - float(spec.A(x - h))) / (2.0 * h)
-        rel = abs(fd - ap) / abs(ap)
-        if rel > worst:
-            worst, first = rel, float(x)
-    ok = positive and worst <= _DERIVATIVE_TOL
-    checks.append(
-        CheckResult(
-            "A_prime_positive_matches_fd", ok, worst, None if ok else first,
-            "A' sign and agreement with a central finite difference of A",
-        )
-    )
-
-    checks.append(_array_check(spec, xs, thetas))
-    return ValidationReport(family=spec.name, checks=tuple(checks))
+    return ValidationReport(family=spec.name, checks=checks)
 
 
 # ---------------------------------------------------------------------------

@@ -502,11 +502,13 @@ def mc_estimate(
     ok = ys[finite]
     n_ok = ok.size
     # an MSE is the mean of the squared error, so its stderr needs the
-    # fourth moment of the error
-    stat = ok * ok if entry.kind == "mse" else ok
-    mc_value = float(np.sum(stat) / n_ok)
-    var = float(np.sum(stat * stat) / n_ok) - mc_value * mc_value
-    mc_stderr = math.sqrt(max(0.0, var) / (n_ok - 1)) if n_ok > 1 else 0.0
+    # fourth moment of the error; a square that overflows makes the sums inf
+    with np.errstate(over="ignore"):
+        stat = ok * ok if entry.kind == "mse" else ok
+        mc_value = float(np.sum(stat) / n_ok)
+        var = float(np.sum(stat * stat) / n_ok) - mc_value * mc_value
+    # an infinite mc_value makes var inf - inf = nan, which max(var, 0.0) keeps
+    mc_stderr = math.sqrt(max(var, 0.0) / max(n_ok - 1, 1))
     try:
         quad_value, diverged = entry.exact(*args), False
     except DivergenceError:

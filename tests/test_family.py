@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -30,7 +31,7 @@ from recordmle import (
     validate_family,
 )
 from recordmle._quadrature import integrate_unit_interval
-from recordmle.family import _INVERT_TOL, _to_interval
+from recordmle.family import _GRID_SIZE, _INVERT_TOL, _to_interval
 
 BUILTINS = [
     make_exponential(),
@@ -178,19 +179,135 @@ def test_validation_catches_scalar_only_b():
         b_inverse(dataclasses.replace(scalar_only, B_inv=None), [0.5, 1.0])
 
 
-def test_roundtrip_failure_reports_the_detail_of_its_point():
+def test_roundtrip_reports_an_inverse_that_raises_on_the_array():
     def a_inv(y):
-        y = float(y)
-        if y > 1.0:
-            raise ValueError(f"second kind at {y}")
-        if y > 0.5:
-            raise KeyError(f"first kind at {y}")
+        if np.ndim(y):
+            raise KeyError("no arrays here")
         return y
 
-    (failure,) = validate_family(dataclasses.replace(make_exponential(), A_inv=a_inv)).failures()
-    assert failure.name == "A_inv_roundtrip"
-    assert failure.first_failure == pytest.approx(0.5059, abs=1e-4)
-    assert failure.detail == f"KeyError: 'first kind at {failure.first_failure!r}'"
+    spec = dataclasses.replace(make_exponential(), A_inv=a_inv)
+    (failure,) = validate_family(spec).failures()
+    assert failure.name == "A_inv_roundtrip" and failure.residual == math.inf
+    assert failure.detail.endswith(": KeyError: 'no arrays here'")
+
+
+def test_roundtrip_reports_the_worst_point_of_a_wrong_inverse():
+    # off by 1e-6 exp(-(y - 2)^2) relative, so the worst grid point is the one nearest 2
+    def a_inv(y):
+        y = np.asarray(y, dtype=float)
+        return y + 1e-6 * np.maximum(1.0, y) * np.exp(-((y - 2.0) ** 2))
+
+    spec = dataclasses.replace(make_exponential(), A_inv=a_inv)
+    (failure,) = validate_family(spec).failures()
+    xs = _to_interval((np.arange(_GRID_SIZE) + 0.5) / _GRID_SIZE, 0.0, math.inf)
+    worst = float(xs[np.argmin(np.abs(xs - 2.0))])
+    assert failure.name == "A_inv_roundtrip" and failure.first_failure == worst
+    assert failure.residual == pytest.approx(1e-6 * math.exp(-((worst - 2.0) ** 2)), rel=1e-6)
+
+
+def test_validation_catches_scalar_only_inverses():
+    # each agrees with the exponential's inverse on every scalar but raises on arrays
+    base = make_exponential()
+    for field_name, inverse, check in (
+        ("A_inv", lambda y: float(y), "A_inv_roundtrip"),
+        ("B_inv", lambda y: 1.0 / float(y), "B_inv_roundtrip"),
+    ):
+        spec = dataclasses.replace(base, **{field_name: inverse})
+        (failure,) = validate_family(spec).failures()
+        assert failure.name == check and "TypeError: only 0-dimensional arrays" in failure.detail
+    with pytest.raises(TypeError):
+        quantile(dataclasses.replace(base, A_inv=lambda y: float(y)), 1.0, [0.5, 0.9])
+
+
+def _bounded_a() -> FamilySpec:
+    # strictly increasing from 0, but A tops out at 1: cdf stays below 1 - exp(-B)
+    return FamilySpec(
+        name="bounded",
+        A=lambda x: (lambda a: a / (1.0 + a))(np.asarray(x, dtype=float)),
+        A_prime=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float)) ** 2,
+        B=lambda t: 1.0 / np.asarray(t, dtype=float),
+        support_lo=0.0,
+        support_hi=math.inf,
+        theta_domain=(0.0, math.inf),
+    )
+
+
+def test_validation_catches_bounded_a():
+    report = validate_family(_bounded_a())
+    (failure,) = report.failures()
+    assert failure.name == "A_unbounded"
+    assert failure.residual == pytest.approx(35.0) and failure.first_failure == sys.float_info.max
+    with pytest.raises(EstimatorRangeError):
+        quantile(_bounded_a(), 1.0, 0.9)
+
+
+@pytest.mark.parametrize("inverse", [True, False], ids=["closed-inverse", "no-inverse"])
+def test_unbounded_a_on_a_finite_support_passes(inverse):
+    # -log1p(-x) reaches 53 log 2 = 36.7 at the largest float below 1
+    spec = FamilySpec(
+        name="unit-log",
+        A=lambda x: -np.log1p(-np.asarray(x, dtype=float)),
+        A_prime=lambda x: 1.0 / (1.0 - np.asarray(x, dtype=float)),
+        B=lambda t: np.asarray(t, dtype=float) + 0.0,
+        support_lo=0.0,
+        support_hi=1.0,
+        theta_domain=(0.0, math.inf),
+        A_inv=(lambda y: -np.expm1(-np.asarray(y, dtype=float))) if inverse else None,
+    )
+    report = validate_family(spec)
+    assert report.passed, [c.detail for c in report.failures()]
+    (check,) = [c for c in report.checks if c.name == "A_unbounded"]
+    assert check.residual == pytest.approx(36.0 - 53.0 * math.log(2.0))
+
+
+CHECK_ORDER = [
+    "A_accepts_arrays", "A_increasing", "A_zero_at_lower", "A_unbounded",
+    "A_inv_roundtrip", "B_inv_roundtrip", "B_positive", "A_prime_positive_matches_fd",
+]
+FAILING = [
+    dataclasses.replace(make_lomax(), name="scalar-a", A=math.log1p),
+    dataclasses.replace(make_lomax(), name="collapsing-a-prime",
+                        A_prime=lambda x: 1.0 / (1.0 + float(np.mean(x)))),
+    dataclasses.replace(make_exponential(), name="decreasing",
+                        A=lambda x: -np.asarray(x, dtype=float),
+                        A_prime=lambda x: -np.ones_like(np.asarray(x, dtype=float))),
+    dataclasses.replace(make_weibull(1.0), name="shifted", A=lambda x: np.asarray(x, dtype=float) + 1.0),
+    dataclasses.replace(make_exponential(), name="negative-b", B_inv=None,
+                        B=lambda t: -1.0 / np.asarray(t, dtype=float)),
+    dataclasses.replace(make_exponential(), name="scalar-a-inv", A_inv=lambda y: float(y)),
+    _bounded_a(),
+]
+
+
+@pytest.mark.parametrize("spec", BUILTINS + FAILING, ids=lambda s: s.name)
+def test_checks_return_plain_python_types(spec):
+    report = validate_family(spec)
+    assert [c.name for c in report.checks] == (
+        ["A_accepts_arrays"] if spec.name in ("scalar-a", "collapsing-a-prime") else CHECK_ORDER
+    )
+    assert report.passed == (spec in BUILTINS)
+    for check in report.checks:
+        assert type(check.passed) is bool and type(check.residual) is float, check
+        assert check.first_failure is None or type(check.first_failure) is float, check
+
+
+@pytest.mark.parametrize("base", BUILTINS, ids=lambda s: s.name)
+def test_validation_calls_the_maps_on_arrays(base):
+    # the only scalar calls are A_accepts_arrays's one per grid point of A, A' and B
+    ndims: dict[str, list[int]] = {}
+
+    def counted(key, fn):
+        def wrapper(v):
+            ndims.setdefault(key, []).append(np.ndim(v))
+            return fn(v)
+        return wrapper
+
+    maps = ("A", "A_prime", "B", "A_inv", "B_inv")
+    spec = dataclasses.replace(base, **{k: counted(k, getattr(base, k)) for k in maps})
+    assert validate_family(spec).passed
+    assert {k: ndims[k].count(0) for k in maps} == {
+        "A": _GRID_SIZE, "A_prime": _GRID_SIZE, "B": _GRID_SIZE, "A_inv": 0, "B_inv": 0,
+    }
 
 
 def test_bisection_fallback_inverses():

@@ -403,6 +403,17 @@ def test_mc_estimate_divergent_target_flagged():
     assert d["series_value"]["regime_note"] == "truncation_suspect"
 
 
+def test_mc_estimate_overflowing_mse_has_no_finite_stderr():
+    # theta_hat = 1/T past 709.8 makes k**theta_hat inf in 142 replications,
+    # under the 1% rule; squaring the finite errors then overflows the sums.
+    # The suite turns numpy's RuntimeWarning into an error.
+    cfg = ExperimentConfig("weibull:alpha=1", 1.0, (1,), reps=100_000, seed=5, g_k=math.e)
+    rep = mc_estimate(cfg, "MSE_g_hat", "sample")
+    assert rep.failures == 142 and rep.quad_divergent
+    assert rep.mc_value == math.inf
+    assert not math.isfinite(rep.mc_stderr)
+
+
 @pytest.mark.filterwarnings("error")
 def test_mc_records_direct_overflow_is_a_domain_error():
     # lomax A_inv overflows float64 past m = 700, as in the direct sampler
