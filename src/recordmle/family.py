@@ -37,6 +37,7 @@ conditions and is rejected by :func:`validate_family`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -76,6 +77,9 @@ _GRID_SIZE = 64
 # A must exceed this at the largest float below support_hi: just below
 # -log(2**-53), about 36.7, where the largest uniform double lands at B = 1.
 _A_TOP = 36.0
+# at or below this shape the weibull A = x**alpha stays under _A_TOP at the
+# largest float, so the family is no distribution in float64
+_WEIBULL_ALPHA_MIN = math.log(_A_TOP) / math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -484,8 +488,9 @@ def make_lomax() -> FamilySpec:
 def make_weibull(alpha: float) -> FamilySpec:
     """Weibull with fixed shape alpha: A(x) = x**alpha, B(theta) = theta."""
     alpha = float(alpha)
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ArgumentError(f"weibull shape alpha must be positive, got {alpha!r}")
+    if not (alpha > _WEIBULL_ALPHA_MIN and math.isfinite(alpha)):
+        raise ArgumentError(f"weibull shape alpha must exceed {_WEIBULL_ALPHA_MIN!r}, below "
+                            f"which x**alpha stays under {_A_TOP} in float64, got {alpha!r}")
 
     def a_prime(x):
         with np.errstate(divide="ignore"):  # x = 0 with alpha < 1: inf, as it should be

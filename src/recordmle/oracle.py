@@ -9,7 +9,9 @@ this module evaluates two independent ways:
 * adaptive quadrature of h against the gamma density to absolute
   tolerance 1e-10 (:func:`expect_over_gamma` and the ``exact_*`` wrappers);
 * a deterministic, replayable Monte Carlo engine that simulates the actual
-  estimators (:func:`mc_estimate`).
+  estimators (:func:`mc_estimate`). Its ``records_direct`` source draws
+  A(R_m) from its Gamma(m, B(theta)) law, one draw per replication, and
+  keeps the record simulator's roundtrip through A_inv and A.
 
 The four plug-in estimators, theta_hat = B_inv(size/T), g(theta_hat) =
 k**theta_hat, F_hat(x) and f_hat(x), are each stated once, as a map of the
@@ -401,12 +403,11 @@ def _block_sufficient_stats(
         xs = fam.quantile(spec, theta, u)
         return np.sum(np.asarray(spec.A(xs), dtype=float), axis=1)
     if source == "records_direct":
-        # records enter the statistic only through A(R_m); reproduce the
-        # simulator's roundtrip through A_inv rather than shortcutting
-        u = rng.random((count, size))
-        gaps = -np.log1p(-u) / b_val
+        # records enter the statistic only through A(R_m), the sum of m
+        # exponential gaps of rate B: draw it from its Gamma(m, B) law, then
+        # keep the simulator's roundtrip through A_inv rather than shortcutting
         with np.errstate(over="ignore"):
-            r_m = fam.a_inverse(spec, np.sum(gaps, axis=1))
+            r_m = fam.a_inverse(spec, rng.standard_gamma(float(size), count) / b_val)
         if not np.isfinite(r_m).all():
             raise DomainError(
                 f"family {spec.name!r} at m={size}: record R_{size} overflows float64"
@@ -598,6 +599,8 @@ def consistency_curve(
     sizes = [int(s) for s in sizes]
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ArgumentError("consistency_curve: sizes must be strictly increasing")
+    if sizes[0] < 1:
+        raise ArgumentError("consistency_curve: sizes must be positive")
     out: list[tuple[int, float]] = []
     for idx, size in enumerate(sizes):
         transform, _ = _estimator("theta_hat", spec, theta, None, size, None)

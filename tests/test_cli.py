@@ -180,6 +180,15 @@ def test_fit_missing_file_exit_2(tmp_path):
     assert "error:" in proc.stderr
 
 
+def test_simulate_weibull_shape_below_float64_bound_exit_2():
+    # x**0.001 stays under 36 at the largest float: quantile would give inf
+    proc = run_cli("simulate", "--family", "weibull:alpha=0.001", "--theta", "1", "--n", "5",
+                   "--seed", "1", expect=2)
+    assert proc.stdout == ""
+    assert "alpha must exceed 0.00504875" in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 def test_eval_exact_curves():
     proc = run_cli("eval", "--family", "exponential", "--what", "cdf", "--grid",
                    "0:2:5", "--theta", "1.0")
@@ -508,13 +517,13 @@ _SEEDED_STDOUT = [
     ("verify --suite theorem4 --seed 1 --json",
      "2801a600662cce4dddd233610ff8c3cfde467b2fc63ffd05dcc112c36de07373"),
     ("verify --suite theorem1 --seed 1 --json",
-     "d6ceb73ea7333f11fc6dece8e9a718aa51315fdd519ff30b3fdc527a04928de6"),
+     "842f42f6de74aad7f807ddbd17e4bd7fc5f7d283021a696454a42253f2014123"),
     ("verify --suite example1 --seed 1 --json",
-     "c73ca45efd54d139def846d13bf903e92f2aa02e98ee8d9271e9855ba8591309"),
+     "714d0480f9f9a93ffb1524b5e1d47fc4ca49843ea21f3a6e1689f7128e6cfc43"),
     ("verify --suite theorem5 --seed 1 --json",
      "129204e811effaa2ef8ce61194dc57e97fc3af2ede498352193b03f63568fd9d"),
     ("verify --suite consistency --seed 1 --json",
-     "a100358a3538c129a22d37224b1d8a3c808670005e9a4beb19563667cc2e245b"),
+     "74781d65d7e894a872af352de97190128c549ddfe21e82874576121fa6ae7df0"),
 ]
 
 

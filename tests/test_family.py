@@ -31,7 +31,7 @@ from recordmle import (
     validate_family,
 )
 from recordmle._quadrature import integrate_unit_interval
-from recordmle.family import _GRID_SIZE, _INVERT_TOL, _to_interval
+from recordmle.family import _A_TOP, _GRID_SIZE, _INVERT_TOL, _to_interval
 
 BUILTINS = [
     make_exponential(),
@@ -258,6 +258,17 @@ def test_unbounded_a_on_a_finite_support_passes(inverse):
     assert report.passed, [c.detail for c in report.failures()]
     (check,) = [c for c in report.checks if c.name == "A_unbounded"]
     assert check.residual == pytest.approx(36.0 - 53.0 * math.log(2.0))
+
+
+def test_weibull_shape_bound_is_where_a_stops_reaching_a_top():
+    # x**alpha at the largest float is exp(alpha log(max)), which reaches
+    # _A_TOP just above this bound and not at or below it
+    bound = math.log(_A_TOP) / math.log(sys.float_info.max)
+    report = validate_family(make_weibull(math.nextafter(bound, 1.0)))
+    assert report.passed, [c.detail for c in report.failures()]
+    for alpha in (bound, math.nextafter(bound, 0.0), 0.001):
+        with pytest.raises(ArgumentError, match="alpha must exceed"):
+            make_weibull(alpha)
 
 
 CHECK_ORDER = [

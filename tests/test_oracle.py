@@ -330,6 +330,22 @@ def test_mc_sources_differ_but_share_law():
     assert ks_two_sample(s, r) < 0.02
 
 
+@pytest.mark.parametrize("m", [1, 4, 30, 700])
+def test_records_direct_matches_exact_gamma_law(m):
+    # exponential: B(theta) = 1/theta and theta_hat = T/m, so m theta_hat/theta
+    # is Gamma(m, 1); theta = 2 makes B != 1/B, so a wrong rate shows too
+    theta, reps = 2.0, 5000
+    cfg = ExperimentConfig("exponential", theta, (m,), reps=reps, seed=2017)
+    t = np.sort(m * mc_statistic_array(cfg, "records_direct", "theta_hat") / theta)
+    exact = np.array([float(mpmath.gammainc(m, 0, v, regularized=True)) for v in t])
+    ranks = np.arange(1, reps + 1) / reps
+    ks = max(np.max(ranks - exact), np.max(exact - (ranks - 1.0 / reps)))
+    # Kolmogorov critical value at alpha = 1e-6 from its tail 2 exp(-2 n d^2),
+    # which the Dvoretzky-Kiefer-Wolfowitz-Massart inequality makes a bound
+    # at every n
+    assert ks < math.sqrt(math.log(2.0 / 1e-6) / (2.0 * reps)), ks
+
+
 def test_sequential_records_source_agrees():
     # theta_hat is a strictly decreasing function of A(R_m) here, and the KS
     # statistic is invariant under monotone transforms, so this compares the
@@ -484,11 +500,11 @@ _ARRAY_SHA256 = {
     ("theta_hat", "sample"):
         "de7fb084dfe6de46f40fe3aa4e27017b2f20dc2d9c6d4ebc90baa23a054ba374",
     ("theta_hat", "records_direct"):
-        "8994be25c6389f7d93e40102301ec07a2543c0b7f1e091128c11876cdbd1f54f",
+        "5abf6eb5fd5c54f01ee9297fdb100309fa18c06e953c37cf897065969ace019f",
     ("cdf_hat", "sample"):
         "fd6699ad1d2d1c1cd2e3e6a108a34d58a2d8d3ba61c9050fa3fe9f4ab549f221",
     ("cdf_hat", "records_direct"):
-        "e98b9a509e5fbcbf16f4e3231dec03f4b7dbec7e217b9b4836b716a2a21de27e",
+        "3c8579fe0f59ca66babf41cd81ac693ceccfe7257408c6366cf7a323e74daf94",
 }
 # (mc_value.hex(), mc_stderr.hex()) per (target, source)
 _MC_HEX = {
@@ -498,12 +514,12 @@ _MC_HEX = {
     ("MSE_pdf_hat", "sample"): ("0x1.957b7cea16027p-7", "0x1.28a70a6a67557p-11"),
     ("MSE_theta_hat", "sample"): ("0x1.9a7b447455c8ep-2", "0x1.049bd70b56ad1p-6"),
     ("MSE_g_hat", "sample"): ("0x1.0e66f6dfb12aep-6", "0x1.482c505e7d8e5p-12"),
-    ("E_cdf_hat", "records_direct"): ("0x1.57cb7df889bd9p-1", "0x1.ca6ce9dd94f3dp-10"),
-    ("E_pdf_hat", "records_direct"): ("0x1.83345b363d8e1p-1", "0x1.5af61aa9ed60dp-10"),
-    ("MSE_cdf_hat", "records_direct"): ("0x1.01446152eacffp-6", "0x1.24e075037d851p-12"),
-    ("MSE_pdf_hat", "records_direct"): ("0x1.957b7cea16026p-7", "0x1.28a70a6a67557p-11"),
-    ("MSE_theta_hat", "records_direct"): ("0x1.9a7b447455c8ep-2", "0x1.049bd70b56ad0p-6"),
-    ("MSE_g_hat", "records_direct"): ("0x1.0e66f6dfb12aep-6", "0x1.482c505e7d8e6p-12"),
+    ("E_cdf_hat", "records_direct"): ("0x1.57e6c4a21af29p-1", "0x1.cb755251d6a7ap-10"),
+    ("E_pdf_hat", "records_direct"): ("0x1.82f588a583261p-1", "0x1.62e29e93a25b5p-10"),
+    ("MSE_cdf_hat", "records_direct"): ("0x1.02895e54b7bbbp-6", "0x1.28603380f83b6p-12"),
+    ("MSE_pdf_hat", "records_direct"): ("0x1.a4a2bda952466p-7", "0x1.4415d84c70e0ep-11"),
+    ("MSE_theta_hat", "records_direct"): ("0x1.b4155de5410cbp-2", "0x1.4d612e8713cc1p-6"),
+    ("MSE_g_hat", "records_direct"): ("0x1.10061e4365b92p-6", "0x1.4db67fa9a72e3p-12"),
 }
 
 
@@ -599,6 +615,9 @@ def test_consistency_curve_validation():
         consistency_curve(EXP, 1.0, 0.2, (10, 5), reps=500, seed=0)
     with pytest.raises(ArgumentError):
         consistency_curve(EXP, 1.0, 0.2, (), reps=500, seed=0)
+    for sizes in ((0, 3), (-2, 3)):
+        with pytest.raises(ArgumentError, match="sizes must be positive"):
+            consistency_curve(EXP, 1.0, 0.1, sizes, reps=200, seed=1)
 
 
 # ---------------------------------------------------------------------------
