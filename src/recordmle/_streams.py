@@ -11,8 +11,9 @@ PCG64. Two properties matter here:
   generators without any coordination, which is what lets Monte Carlo
   blocks run on any number of workers and still merge to identical sums.
 
-Only ``Generator.random`` (uniform doubles) is consumed downstream; all
-non-uniform variates are produced by explicit inverse-CDF transforms so the
+Downstream code consumes ``Generator.random`` (uniform doubles) and makes
+non-uniform variates by explicit inverse-CDF transforms, save one: the Monte
+Carlo ``records_direct`` source draws A(R_m) with ``standard_gamma``. So the
 draw layout is fully specified by this module plus the caller's shapes.
 """
 

@@ -29,10 +29,9 @@ quadrature as a divergence signal; wrappers for quantities that must
 converge escalate that signal to :class:`DivergenceError`.
 
 Monte Carlo replications are partitioned into contiguous blocks of 4096;
-block index is the rng stream id, partial results are assembled in block
-order, and the y-arrays are reduced with pairwise summation over a fixed
-ordering. Results are therefore bit-identical across runs and across
-worker counts.
+the block index is the rng stream id, blocks write in block order into one
+array, and that array is reduced by one pairwise summation. Results are
+therefore bit-identical across runs and across worker counts.
 """
 
 from __future__ import annotations
@@ -437,8 +436,8 @@ def _mc_stat_array(
     """Per-replication statistic array, deterministic in (seed, reps).
 
     ``transform`` maps the block's T array to the statistic of interest.
-    Blocks are computed possibly in parallel but concatenated in block
-    order, so the output never depends on the worker count.
+    Blocks are computed possibly in parallel but written in block order into
+    one array, so the output never depends on the worker count.
     """
     if source not in SOURCES:
         raise ArgumentError(f"unknown estimator source {source!r}; known: {SOURCES}")
@@ -447,22 +446,21 @@ def _mc_stat_array(
     workers = int(workers)
     if workers < 1:
         raise ArgumentError(f"workers must be at least 1, got {workers}")
-    blocks = [
-        (i, min(_BLOCK, reps - i * _BLOCK)) for i in range((reps + _BLOCK - 1) // _BLOCK)
-    ]
+    blocks = range((reps + _BLOCK - 1) // _BLOCK)
+    out = np.empty(reps, dtype=float)
 
-    def run_block(args: tuple[int, int]) -> np.ndarray:
-        idx, count = args
+    def run_block(idx: int) -> None:
+        count = min(_BLOCK, reps - idx * _BLOCK)
         t_vals = _block_sufficient_stats(spec, theta, size, seed, idx, count, source)
         with np.errstate(all="ignore"):
-            return np.asarray(transform(t_vals), dtype=float)
+            out[idx * _BLOCK: idx * _BLOCK + count] = transform(t_vals)
 
     if workers == 1 or len(blocks) == 1:
-        parts = [run_block(b) for b in blocks]
+        list(map(run_block, blocks))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_block, blocks))
-    return np.concatenate(parts)
+            list(pool.map(run_block, blocks))
+    return out
 
 
 def mc_estimate(
@@ -500,14 +498,15 @@ def mc_estimate(
         raise ReplicationFailureError(
             f"{failures} of {config.reps} replications failed (>1%)"
         )
-    ok = ys[finite]
-    n_ok = ok.size
-    # an MSE is the mean of the squared error, so its stderr needs the
-    # fourth moment of the error; a square that overflows makes the sums inf
+    stat = ys if failures == 0 else ys[finite]
+    n_ok = stat.size
+    # an MSE's stderr needs the error's fourth moment; squaring in place keeps
+    # one float64 per replication and the sums' bits; an overflow makes them inf
     with np.errstate(over="ignore"):
-        stat = ok * ok if entry.kind == "mse" else ok
+        if entry.kind == "mse":
+            np.multiply(stat, stat, out=stat)
         mc_value = float(np.sum(stat) / n_ok)
-        var = float(np.sum(stat * stat) / n_ok) - mc_value * mc_value
+        var = float(np.sum(np.multiply(stat, stat, out=stat)) / n_ok) - mc_value * mc_value
     # an infinite mc_value makes var inf - inf = nan, which max(var, 0.0) keeps
     mc_stderr = math.sqrt(max(var, 0.0) / max(n_ok - 1, 1))
     try:

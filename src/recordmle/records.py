@@ -129,13 +129,20 @@ def sample_iid(spec: fam.FamilySpec, theta: float, n: int, rng_stream) -> Sample
     """Draw an i.i.d. sample of size n by inverse-CDF transform.
 
     ``rng_stream`` is a ``(seed, stream)`` pair, a bare integer seed, or an
-    existing generator; output is deterministic given the pair.
+    existing generator; output is deterministic given the pair. Raises
+    :class:`~recordmle.errors.DomainError` when a draw overflows float64.
     """
     if n < 1:
         raise ArgumentError("sample_iid: n must be at least 1")
     gen = as_generator(rng_stream)
     u = gen.random(int(n))
-    x = np.asarray(fam.quantile(spec, theta, u), dtype=float)
+    with np.errstate(over="ignore"):
+        x = np.asarray(fam.quantile(spec, theta, u), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise DomainError(
+            f"family {spec.name!r} at theta={float(theta)!r}: draw {bad[0]} overflows float64"
+        )
     return Sample(values=tuple(x.tolist()))
 
 

@@ -111,6 +111,16 @@ def test_simulate_records_overflow_is_a_typed_error():
             == "8a25ff83927fa2873ea7eae95e3d1cd6e8b54120563af9ae2ae789a3fe4b9b9d")
 
 
+def test_simulate_sample_overflow_is_a_typed_error():
+    # the weibull quantile overflows float64 at 6 of these 200 draws; the
+    # first is named, and no numpy warning reaches stderr
+    proc = run_cli("simulate", "--family", "weibull:alpha=0.006", "--theta", "0.05",
+                   "--n", "200", "--seed", "1", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: family 'weibull:alpha=0.006' at theta=0.05: "
+                           "draw 38 overflows float64\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -8,6 +8,8 @@ import hashlib
 import importlib
 import inspect
 import math
+import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -304,8 +306,8 @@ def test_mc_arrays_deterministic_and_worker_invariant():
     d = mc_statistic_array(cfg, "sample", "theta_hat", workers=16)
     assert a.shape == (2048,)
     assert np.array_equal(a, b)
-    # concatenation in block order makes the result independent of the
-    # thread count, bit for bit
+    # writing in block order makes the result independent of the thread
+    # count, bit for bit
     assert np.array_equal(a, c)
     assert np.array_equal(a, d)
     e = mc_statistic_array(_cfg(seed=6), "sample", "theta_hat")
@@ -537,6 +539,68 @@ def test_mc_engine_pinned_bit_for_bit():
     assert rep.failures == 0
     assert (rep.mc_value.hex(), rep.mc_stderr.hex()) == (
         "0x1.707da3f13390dp+1", "0x1.a8bce6e65ebf0p-1")
+
+
+def _reference_moments(ys, kind):
+    """``mc_value`` and ``mc_stderr`` of a statistic array, compacted and
+    squared into new arrays: the in-place moments must match it bit for bit."""
+    ok = ys[np.isfinite(ys)]
+    with np.errstate(over="ignore"):
+        stat = ok * ok if kind == "mse" else ok
+        value = float(np.sum(stat) / ok.size)
+        var = float(np.sum(stat * stat) / ok.size) - value * value
+    return value, math.sqrt(max(var, 0.0) / max(ok.size - 1, 1))
+
+
+@pytest.mark.parametrize("target, cfg, failures", [
+    ("E_cdf_hat", ExperimentConfig("lomax", 0.8, (6,), (1.1,), reps=50_001, seed=3), 0),
+    ("MSE_theta_hat", ExperimentConfig("weibull:alpha=2", 1.3, (4,), reps=50_001, seed=4), 0),
+    # 142 replications overflow to inf and are compacted away
+    ("MSE_g_hat", ExperimentConfig("weibull:alpha=1", 1.0, (1,), reps=100_000, seed=5,
+                                   g_k=math.e), 142),
+])
+def test_mc_moments_keep_the_bits_of_compact_then_square(target, cfg, failures):
+    entry = oracle_mod.REGISTRY[target]
+    ys = mc_statistic_array(cfg, "sample", entry.estimator)
+    if entry.kind == "mse":
+        _, truth = oracle_mod._estimator(entry.estimator, cfg.resolve(), cfg.theta,
+                                         None, cfg.sizes[0], cfg.g_k)
+        ys = ys - truth
+    want = tuple(v.hex() for v in _reference_moments(ys, entry.kind))
+    # more blocks than workers: the thread pool writes disjoint slices
+    for workers in (1, 3):
+        rep = mc_estimate(cfg, target, "sample", workers=workers)
+        assert rep.failures == failures
+        assert (rep.mc_value.hex(), rep.mc_stderr.hex()) == want, workers
+
+
+def test_mc_threads_write_disjoint_slices():
+    # more workers than cores and a short switch interval: a lost or
+    # misplaced block write would leave np.empty's garbage in the array
+    cfg = _cfg(reps=30 * 4096 + 7)
+    want = mc_statistic_array(cfg, "sample", "theta_hat")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = mc_statistic_array(cfg, "sample", "theta_hat", workers=16)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
+
+
+def test_mc_holds_about_one_float64_per_replication():
+    # block parts plus their concatenation, or squares into new arrays, would
+    # hold two to four float64 per replication here (15.3 and 31.5 MB)
+    cfg = ExperimentConfig("exponential", 1.0, (5,), reps=1_000_000, seed=1)
+    for call in (lambda: mc_estimate(cfg, "MSE_theta_hat", "sample"),
+                 lambda: mc_statistic_array(cfg, "sample")):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * cfg.reps
 
 # ---------------------------------------------------------------------------
 # KS statistic

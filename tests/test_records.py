@@ -305,6 +305,14 @@ def test_records_direct_overflow_is_a_domain_error():
         sample_records_direct(make_lomax(), 1.0, 800, rng_stream=9)
 
 
+@pytest.mark.filterwarnings("error")
+def test_sample_iid_overflow_is_a_domain_error():
+    # A-values are Exp(1)/0.05; past about 70.7, A_inv = y**(1/0.006) overflows
+    spec = family.resolve_family("weibull:alpha=0.006")
+    with pytest.raises(DomainError, match=r"at theta=0\.05: draw 38 overflows float64"):
+        sample_iid(spec, 0.05, 200, rng_stream=1)
+
+
 def test_two_record_samplers_agree_in_distribution():
     # both samplers target the law of the first m upper records; compare the
     # m-th record across replications with a two-sample KS statistic
