@@ -8,6 +8,10 @@ printed as shortest round-trip decimals, CSV is UTF-8 with LF endings and
 a mandatory header, JSON uses a fixed key order. Run manifests (flag set,
 version, timestamps, FNV-1a digests of outputs) go to stderr when
 --manifest is passed, never to stdout, so stdout stays reproducible.
+The digest is FNV-1a 64 computed by a blocked numpy kernel
+(:func:`_fnv1a64`) that gives the per-byte definition bit for bit: it uses
+only integer operations that wrap mod 2**64 or mod 256, so it is exact and
+its value does not depend on the host or its SIMD level.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error.
@@ -33,12 +37,58 @@ __all__ = ["main"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_MASK64 = (1 << 64) - 1
+# bytes per block of the digest: its working set stays a few hundred KiB
+_FNV_BLOCK = 1 << 16
+
+
+def _xor_scan(flags: np.ndarray) -> np.ndarray:
+    """Inclusive prefix XOR of a uint8 array of zero/nonzero flags, as 0/1 uint8.
+
+    Packs 64 flags to a little-endian word, scans inside each word by
+    shift-and-XOR, then flips every word after an odd count of set flags.
+    """
+    n = flags.size
+    words = np.zeros(-(-n // 64), dtype="<u8")
+    words.view(np.uint8)[: -(-n // 8)] = np.packbits(flags, bitorder="little")
+    for shift in (1, 2, 4, 8, 16, 32):
+        words ^= words << shift
+    carry = np.bitwise_xor.accumulate(words >> 63)
+    words[1:] ^= np.uint64(0) - carry[:-1]
+    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
 
 
 def _fnv1a64(data: bytes) -> str:
-    h, prime, mask = _FNV_OFFSET, _FNV_PRIME, 0xFFFFFFFFFFFFFFFF  # locals: the loop is hot
-    for byte in data:
-        h = ((h ^ byte) * prime) & mask
+    """FNV-1a 64 of ``data`` as 16 hex digits: h = ((h ^ b) * P) mod 2**64 per byte.
+
+    Computed a block of bytes at a time. P = 0x100000001B3 is 0xB3 mod 256,
+    so the low byte l of the state runs on its own, l' = ((l ^ b) * 0xB3)
+    mod 256; bit k of l' is bit k of l ^ b XOR bit k of ((l ^ b) mod 2**k)
+    * 0xB3, so each bit of l, at every position of the block, is one prefix
+    XOR once the lower bits are known. Then h ^ b = h + d with d = (l ^ b) - l,
+    and the block of L bytes maps h to h * P**L + sum(d_i * P**(L - i)),
+    one uint64 dot product against the powers of P.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # powers[j] = P**(j + 1) mod 2**64: uint64 products wrap
+    powers = np.multiply.accumulate(
+        np.full(min(buf.size, _FNV_BLOCK), _FNV_PRIME, dtype=np.uint64))
+    h = _FNV_OFFSET
+    for start in range(0, buf.size, _FNV_BLOCK):
+        b = buf[start:start + _FNV_BLOCK]
+        n = b.size
+        x = np.zeros(n, dtype=np.uint8)  # l ^ b at each position, one bit per pass
+        t = np.empty(n, dtype=np.uint8)
+        for k in range(8):
+            bit = 1 << k
+            # bit k flips from one position to the next by bit k of b ^ x * 0xB3
+            t[0] = h & bit
+            np.multiply(x[:-1], 0xB3, out=t[1:])
+            t[1:] ^= b[:-1]
+            t &= bit
+            x |= ((_xor_scan(t) << k) ^ b) & bit
+        d = (x.astype(np.int16) - (x ^ b)).astype(np.uint64)
+        h = (h * int(powers[n - 1]) + int(np.dot(d, powers[n - 1::-1]))) & _MASK64
     return f"{h:016x}"
 
 
@@ -191,6 +241,8 @@ def _fit_report(args) -> estimate.EstimateReport:
         values = records.parse_csv_values(fh.read())
     if args.records:
         rs = records.extract_upper_records(values)
+        # every observation, as for a sample: one below the running maximum is no record
+        estimate._check_support(spec, values)
         return estimate.mle_theta_records(spec, rs)
     sample = records.Sample(tuple(values))
     return estimate.mle_theta_sample(spec, sample)

@@ -95,9 +95,10 @@ def mle_theta_sample(spec: fam.FamilySpec, xs: Sample) -> EstimateReport:
 def mle_theta_records(spec: fam.FamilySpec, rs: RecordSequence) -> EstimateReport:
     """Closed-form MLE from upper records: B_inv(m / A(R_m)).
 
-    Depends on the sequence only through (m, R_m).
+    Depends on the sequence only through (m, R_m); every record must lie in
+    the support.
     """
-    _check_support(spec, (rs.values[-1],))
+    _check_support(spec, rs.values)
     t_stat = float(spec.A(rs.values[-1]))
     return _theta_from_stat(spec, rs.m, t_stat, "records")
 

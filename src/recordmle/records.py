@@ -19,10 +19,15 @@ uniforms come in fixed logical chunks, each drawn in pieces of at most 2**16;
 the tail of the last chunk is drawn and discarded, so the stream ends where
 whole chunks would leave it, while the memory held stays a few pieces
 however high the cap is.
+
+CSV text is read with ``np.loadtxt`` on the ``value`` column; any text it
+refuses, or might read differently from ``float``, goes through the
+line-by-line reader, which alone decides errors and their messages.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -250,8 +255,38 @@ def serialize_csv(obj: Union[Sample, RecordSequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# separators that loadtxt strips around a number as whitespace and float() refuses
+_FLOAT_REFUSES = "\x1c\x1d\x1e\x1f"
+
+
 def parse_csv_values(text: str) -> list[float]:
-    """Read the ``value`` column from CSV text with a header row."""
+    """Read the ``value`` column from CSV text with a header row.
+
+    When the first line is a header naming ``value``, the rows after it go
+    through ``np.loadtxt``, which parses each field with the same correctly
+    rounded routine as ``float``. Any input it refuses (underscores,
+    non-ASCII digits, quotes, blank lines with spaces, short rows, a carriage
+    return inside a line), and any text holding one of the ``_FLOAT_REFUSES``
+    characters, is read again by :func:`_parse_csv_lines`, which alone
+    decides what is an error and its message.
+    """
+    head, _, body = text.partition("\n")
+    header = [h.strip() for h in head.split(",")]
+    # a blank body goes to the line reader: loadtxt warns on empty input
+    if ("value" in header and body.strip()
+            and not any(c in body for c in _FLOAT_REFUSES)):
+        try:
+            # bytes, not a StringIO: that holds four bytes a character
+            return np.loadtxt(io.BytesIO(body.encode("utf-8")), encoding="utf-8",
+                              delimiter=",", usecols=header.index("value"),
+                              comments=None, ndmin=1, dtype=float).tolist()
+        except ValueError:
+            pass
+    return _parse_csv_lines(text)
+
+
+def _parse_csv_lines(text: str) -> list[float]:
+    """``parse_csv_values`` one line at a time, with ``float`` on each field."""
     lines = [ln for ln in text.split("\n") if ln.strip() != ""]
     if not lines:
         raise ArgumentError("CSV input is empty")

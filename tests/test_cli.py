@@ -14,9 +14,12 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 
 def run_cli(*argv, expect=0):
@@ -182,6 +185,20 @@ def test_fit_records_extracts_first(tmp_path):
     assert obj["n_or_m"] == 3
     assert obj["sufficient_stat"] == pytest.approx(5.0)
     assert obj["theta_hat"] == pytest.approx(5.0 / 3.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit",),
+    ("fit", "--records"),
+    ("eval", "--what", "cdf-hat", "--grid", "0:1:3", "--records"),
+])
+def test_fit_rejects_observation_outside_support(tmp_path, argv):
+    # -2.0 follows 3.0, so it is no record: the check covers every observation
+    data = tmp_path / "below.csv"
+    data.write_text("index,value\n0,3\n1,-2\n2,4\n")
+    proc = run_cli(*argv, "--family", "exponential", "--data", str(data), expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr == "error: observation -2.0 outside support [0.0, inf) of 'exponential'\n"
 
 
 def test_fit_missing_file_exit_2(tmp_path):
@@ -411,6 +428,50 @@ def test_fnv1a64_published_vectors():
     assert _fnv1a64(b"") == "cbf29ce484222325"
     assert _fnv1a64(b"a") == "af63dc4c8601ec8c"
     assert _fnv1a64(b"foobar") == "85944171f73967e8"
+
+
+def _fnv1a64_loop(data: bytes) -> str:
+    """FNV-1a 64 by its definition, one byte at a time: the kernel's referee."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return f"{h:016x}"
+
+
+def _random_bytes(length: int, seed: int) -> bytes:
+    return np.random.default_rng(seed).integers(0, 256, length, dtype=np.uint8).tobytes()
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+def test_fnv1a64_matches_the_byte_loop_at_block_edges(length):
+    from recordmle.cli import _fnv1a64
+
+    data = _random_bytes(length, length)
+    assert _fnv1a64(data) == _fnv1a64_loop(data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=300),
+    st.builds(_random_bytes, st.integers(0, 2**17 + 100), st.integers(0, 2**32)),
+))
+def test_fnv1a64_matches_the_byte_loop_on_drawn_bytes(data):
+    from recordmle.cli import _fnv1a64
+
+    assert _fnv1a64(data) == _fnv1a64_loop(data)
+
+
+def test_fnv1a64_memory_stays_within_a_few_blocks():
+    from recordmle.cli import _fnv1a64
+
+    data = bytes(range(256)) * 8192  # 2 MiB
+    tracemalloc.start()
+    try:
+        _fnv1a64(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_digest_only_with_manifest(monkeypatch, capsys):

@@ -14,6 +14,7 @@ from recordmle import (
     ArgumentError,
     DegenerateSampleError,
     DomainError,
+    RecordSequence,
     Sample,
     cdf,
     cdf_hat_records,
@@ -183,6 +184,9 @@ def test_out_of_support_observation_rejected():
     pareto = make_pareto(2.0)
     with pytest.raises(DomainError):
         mle_theta_sample(pareto, Sample(values=(1.0, 3.0)))
+    # every record is checked, not only R_m
+    with pytest.raises(DomainError, match=r"^observation -1\.5 outside support"):
+        mle_theta_records(spec, RecordSequence((-1.5, 2.0), (0, 1)))
 
 
 _ARRAY_SPECS = [

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from recordmle import (
     ArgumentError,
@@ -412,3 +413,73 @@ def test_csv_roundtrip_records_keeps_indices():
 def test_csv_rejects_malformed(text):
     with pytest.raises(ArgumentError):
         parse_csv_values(text)
+
+
+# fields that float() and np.loadtxt might read differently, or refuse
+_ODD_FIELDS = st.sampled_from([
+    "", " ", "1_0", "\u0661\u0662", '"1"', "1#", "#", "0x10", "1 2", "1\r2", "1.5\r",
+    "nan", "-nan", "inf", "-Infinity", "1e400", "-1e400", "5e-324",
+    "2.2250738585072009e-308", "0.30000000000000004", "12345678901234567",
+    " 1.5 ", "\t2", "1\x0c", "1\u3000", "1\x1c", "\x1f1", "1\x85", "\xa01", "1\x00",
+    "+.5", "1.", ".e1", "--1",
+])
+_FIELDS = st.one_of(
+    _ODD_FIELDS,
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.text(alphabet='0123456789.eE+-_ #"', max_size=6),
+)
+_BLANK_LINES = st.sampled_from(["", " ", "\t", "\r", " \r", "\x0c", "\x1c", "\u2028"])
+_HEADERS = st.sampled_from(["value", "index,value", "value,index", "a,value,b", " value \r",
+                            "index,value,value", "index,val", "", " "])
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV texts: the value column first, middle or last, odd rows, fields and line ends."""
+    rows = st.lists(_FIELDS, max_size=4).map(",".join)
+    lines = [draw(_HEADERS)] + draw(st.lists(st.one_of(rows, _BLANK_LINES), max_size=6))
+    if draw(st.booleans()):
+        lines.insert(0, draw(_BLANK_LINES))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def _parse_outcome(parse, text):
+    """The bits and type of every parsed value, or the error message."""
+    try:
+        values = parse(text)
+    except ArgumentError as exc:
+        return str(exc)
+    return [(type(v), struct.pack("<d", v)) for v in values]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_csv_texts())
+@example("index,value\n")
+@example("index,value\n0,1.5")
+@example("value\n1e400\n")
+@example("\nindex,value\n0,1.5\n")
+@example("index,value\r\n0,1.5\r\n\r\n1,2.5\r\n")
+@example("index,value\n0,1\x1c\n1,\x1f2.5\n")  # loadtxt strips these, float() refuses them
+def test_csv_parse_matches_the_line_reader(text):
+    assert _parse_outcome(parse_csv_values, text) == \
+        _parse_outcome(records._parse_csv_lines, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+def test_csv_roundtrip_keeps_every_bit(xs):
+    got = parse_csv_values(serialize_csv(Sample(values=tuple(xs))))
+    assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in xs]
+
+
+def test_serialized_csv_is_read_without_the_line_reader(monkeypatch):
+    def fail(text):
+        raise AssertionError("line reader used")
+
+    monkeypatch.setattr(records, "_parse_csv_lines", fail)
+    xs = sample_iid(make_exponential(), 1.0, 1000, rng_stream=(2, 0))
+    assert parse_csv_values(serialize_csv(xs)) == list(xs.values)
+    rs = sample_records_direct(make_exponential(), 1.0, 1, rng_stream=(2, 1))
+    assert parse_csv_values(serialize_csv(rs)) == list(rs.values)
