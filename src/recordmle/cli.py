@@ -301,15 +301,13 @@ def _cmd_table(args) -> tuple[list[dict], int]:
     else:
         _require(args.family is None and args.x is None,
                  f"--family and --x do not apply to --formula {args.formula}")
-    options = {"as_printed": True} if args.as_printed else {}
-    rows = []
-    for size in sizes:
-        if target.series is None:  # alpha-n: the exponential theta^2 / n, exact
-            value = closedform.alpha_n_exponential(args.theta, size)
-            sv = closedform.SeriesValue(value, 1, True, closedform.ASYMPTOTIC_OK)
-        else:
-            sv = target.series(spec, args.theta, args.x, size, args.k, **options)
-        rows.append((size, sv.value, sv.in_natural_bounds, sv.regime_note))
+    if target.sweep is None:  # alpha-n: the exponential theta^2 / n, exact
+        rows = [(size, closedform.alpha_n_exponential(args.theta, size), True,
+                 closedform.ASYMPTOTIC_OK) for size in sizes]
+    else:
+        options = {"as_printed": True} if args.as_printed else {}
+        rows = [(size, sv.value, sv.in_natural_bounds, sv.regime_note) for size, sv in
+                zip(sizes, target.sweep(spec, args.theta, args.x, sizes, args.k, **options))]
     return _emit(_csv(["size", "value", "in_bounds", "regime"], rows), args), 0
 
 

@@ -19,15 +19,24 @@ values are returned as computed and flagged through
 quadrature oracle in :mod:`recordmle.oracle` supplies the exact values for
 any convergent target.
 
-Numerics: each series is one numpy pass. The log magnitudes of all terms
-come from a table of log-gamma at the integers (built with ``math.lgamma``
-and grown to the largest size seen), every term is sign * exp(log
-magnitude), and ``math.fsum`` adds the terms correctly rounded. Terms
-that underflow to 0.0, most of them at large sizes, are skipped before
-``math.fsum``, which is exact since adding +-0.0 never changes an exact sum;
-an overflowing series falls back to the IEEE sum of all its terms. Naive
-factorial evaluation overflows beyond size of about 170; the log-space
-route stays finite for all practical sizes.
+Numerics: one kernel, ``_gamma_sums``, evaluates every series of a sweep
+over sizes; each table formula is such a sweep, with one evaluation of the
+point constants, and the one-size functions are sweeps of one size. The
+log magnitudes of the terms come from a table of log-gamma at the integers
+(built with ``math.lgamma`` and grown to the largest size seen), every term
+is sign * exp(log magnitude), and ``math.fsum`` adds the terms correctly
+rounded. Rows go in blocks of at most 2^13 terms, each over a head of its
+first 256 terms, widened twofold while a check fails: the log magnitude
+of term i rises, falls and rises again, each at most once, because its
+step from i to i + 1 is convex in i, so a head that ends falling, with its
+last term and the row's last term both below -800, holds every term that
+does not underflow. The cut lies 55 below the -745.13 where ``np.exp``
+returns 0.0, which covers the rounding of the logs. Terms that underflow
+to 0.0, most of them at large sizes, are skipped before ``math.fsum``,
+which is exact since adding +-0.0 never changes an exact sum; an
+overflowing series is run at full width and falls back to the IEEE sum of
+all its terms. Naive factorial evaluation overflows beyond size of about
+170; the log-space route stays finite for all practical sizes.
 
 The sample-based and record-based versions of each formula are the same
 function of the count, so a single ``size`` argument serves both; outputs
@@ -56,6 +65,11 @@ __all__ = [
     "alpha_n_exponential",
     "mse_g_power_series",
     "gamma_ratio",
+    "expected_cdf_hat_sweep",
+    "expected_pdf_hat_sweep",
+    "mse_cdf_hat_sweep",
+    "mse_pdf_hat_sweep",
+    "mse_g_power_sweep",
 ]
 
 ASYMPTOTIC_OK = "asymptotic_ok"
@@ -89,6 +103,50 @@ class SeriesValue:
 # log Gamma(j) for j = 0, 1, 2, ... (the pole at 0 is never read): a table of
 # a pure function, grown by doubling to the largest size seen
 _LGAMMA_INT = np.array([math.inf])
+# a row is first summed over a head of its first _HEAD terms, widened
+# _WIDEN-fold while the window check fails; blocks hold at most _BLOCK_TERMS
+_HEAD = 256
+_WIDEN = 2
+_BLOCK_TERMS = 1 << 13
+# np.exp returns 0.0 below -745.13; the 55 between covers the rounding of
+# the log magnitudes, a few ulp of parts far below 1e9
+_CUT = -800.0
+
+
+def _lgamma_table(entries: int) -> np.ndarray:
+    """The log-gamma table, grown to at least ``entries`` entries."""
+    global _LGAMMA_INT
+    if len(_LGAMMA_INT) < entries:
+        grow = range(len(_LGAMMA_INT), max(entries, 2 * len(_LGAMMA_INT)))
+        _LGAMMA_INT = np.concatenate((_LGAMMA_INT, [math.lgamma(j) for j in grow]))
+    return _LGAMMA_INT
+
+
+def _log_abs(c: float) -> float:
+    # math.log: np.log differs from it in the last bit for some c
+    return math.log(abs(c)) if c else 0.0
+
+
+def _log_magnitude_block(lg: np.ndarray, log_cs, tops, offset: int,
+                         width: int) -> np.ndarray:
+    """Rows of log magnitudes of c^i Gamma(top-i) / (Gamma(i+1) Gamma(top+offset)), i < width.
+
+    One row per (log|c|, top), top = size - offset, from the log-gamma table
+    ``lg``. Lanes at or past top read Gamma(1) in place of Gamma(top-i); the
+    caller masks them.
+    """
+    lanes = np.arange(width)
+    tops = np.asarray(tops)[:, None]
+    top_minus_i = tops - lanes
+    if top_minus_i[:, -1].min() < 1:
+        np.maximum(top_minus_i, 1, out=top_minus_i)
+    # i log|c| + lgamma(top-i) - lgamma(i+1) - lgamma(size), in this order:
+    # the frozen series values at size 200 pin the rounding it gives
+    logs = lanes * np.asarray(log_cs)[:, None]
+    logs += lg[top_minus_i]
+    logs -= lg[1 : width + 1]
+    logs -= lg[tops + offset]
+    return logs
 
 
 def _series_log_magnitudes(c: float, size: int, offset: int) -> np.ndarray:
@@ -97,23 +155,16 @@ def _series_log_magnitudes(c: float, size: int, offset: int) -> np.ndarray:
     One entry per term i < size - offset; only i = 0 when c is 0, since
     every later term vanishes.
     """
-    global _LGAMMA_INT
-    if len(_LGAMMA_INT) <= size:
-        grow = range(len(_LGAMMA_INT), max(size + 1, 2 * len(_LGAMMA_INT)))
-        _LGAMMA_INT = np.concatenate((_LGAMMA_INT, [math.lgamma(j) for j in grow]))
-    lg, top = _LGAMMA_INT, size - offset
-    count = top if c else 1
-    log_abs_c = math.log(abs(c)) if c else 0.0
-    # i log|c| + lgamma(size-i-offset) - lgamma(i+1) - lgamma(size), in this
-    # order: the frozen series values at size 200 pin the rounding it gives
-    logs = np.arange(count) * log_abs_c + lg[top : top - count : -1]
-    return logs - lg[1 : count + 1] - lg[size]
+    top = size - offset
+    return _log_magnitude_block(_lgamma_table(size + 1), [_log_abs(c)], [top], offset,
+                                top if c else 1)[0]
 
 
-def _signed_gamma_series(c: float, size: int, offset: int) -> float:
+def _gamma_sums(cs, sizes, offset: int) -> list[float]:
     """Sum of c^i Gamma(size-i-offset) / (Gamma(i+1) Gamma(size)) over i < size - offset.
 
-    Terms are sign(c)^i * exp(log magnitude), added correctly rounded by
+    One sum per (c, size) row; every size must exceed ``offset``. Terms are
+    sign(c)^i * exp(log magnitude), added correctly rounded by
     ``math.fsum``, so the alternating cancellation costs only the rounding
     of the terms themselves. Terms that underflow to 0.0 are dropped after
     the sign flip and before ``math.fsum``: adding +-0.0 leaves its exact,
@@ -122,17 +173,84 @@ def _signed_gamma_series(c: float, size: int, offset: int) -> float:
     intermediate-overflow error for mixed-sign sums at the float64 limit;
     the tests check the series there bit for bit. When the terms or their
     sum overflow float64, the IEEE sum (nan or +-inf) of the full signed
-    array is returned, without a floating-point warning, for the caller's
+    row is returned, without a floating-point warning, for the caller's
     flags to catch.
+
+    Rows go in blocks of at most ``_BLOCK_TERMS`` terms, and a row is
+    summed over a head of its first terms when the rest provably underflow.
+    With L(i) the log magnitude of term i, L(i+1) - L(i) = log|c| -
+    log((i+1)(top-1-i)) is convex in i, so L rises, falls and rises again,
+    each at most once. If L falls at the head's last term and both that
+    term and the row's last term lie below ``_CUT``, so does every term
+    between them: the head holds all of the row's nonzero terms, in order,
+    and ``math.fsum`` sees the same list. Rows failing that check are
+    widened and run again, as are rows whose ``math.fsum`` raises, at full
+    width, for the IEEE sum of every term.
     """
+    c_arr = np.array(cs, dtype=float)
+    log_cs = np.fromiter(map(_log_abs, c_arr.tolist()), float, len(c_arr))
+    tops = np.array(sizes, dtype=np.intp) - offset
+    counts = np.where(c_arr != 0.0, tops, 1)
+    widths = np.minimum(counts, _HEAD)
+    signs = np.where(c_arr < 0.0, -1.0, 1.0)
+    lg = _lgamma_table(int(tops.max(initial=0)) + offset + 1)
+    sums = np.zeros(len(c_arr))
+
+    def run(rows: np.ndarray) -> np.ndarray:
+        """Sum ``rows`` over the width of the last; return the rows to run again."""
+        width = int(widths[rows[-1]])
+        count = counts[rows]
+        logs = _log_magnitude_block(lg, log_cs[rows], tops[rows], offset, width)
+        retry = count > width
+        if retry.any():
+            last = ((count - 1) * log_cs[rows] + lg[tops[rows] - count + 1] - lg[count]
+                    - lg[tops[rows] + offset])
+            edge = logs[:, width - 1]
+            retry &= ~((edge < _CUT) & (edge < logs[:, width - 2]) & (last < _CUT))
+            widths[rows[retry]] = np.minimum(_WIDEN * width, count[retry])
+        # lanes np.exp would return as 0.0 after spending ~15 ns on each, and
+        # padding lanes, are computed as exp(0.0) and zeroed
+        zero = logs < _CUT
+        if count.min() < width:
+            zero |= np.arange(width) >= count[:, None]
+        np.putmask(logs, zero, 0.0)
+        terms = np.exp(logs, out=logs)
+        np.putmask(terms, zero, 0.0)
+        terms[:, 1::2] *= signs[rows][:, None]
+        nonzero = terms != 0.0
+        kept = nonzero.sum(axis=1)
+        ends = np.cumsum(kept)
+        begins, ends, packed = (ends - kept).tolist(), ends.tolist(), terms[nonzero]
+        for k in np.flatnonzero(~retry).tolist():
+            try:
+                # one row's Python floats at a time, not a block's
+                sums[rows[k]] = math.fsum(packed[begins[k] : ends[k]].tolist())
+            except (OverflowError, ValueError):
+                if count[k] > width:  # the IEEE sum needs every term
+                    widths[rows[k]] = count[k]
+                    retry[k] = True
+                else:
+                    sums[rows[k]] = np.sum(terms[k, : count[k]])
+        return rows[retry]
+
+    pending = np.arange(len(c_arr))
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.exp(_series_log_magnitudes(c, size, offset))
-        if c < 0.0:
-            terms[1::2] *= -1.0
-        try:
-            return math.fsum(terms[terms != 0.0].tolist())
-        except (OverflowError, ValueError):
-            return float(np.sum(terms))
+        while pending.size:
+            pending = pending[np.argsort(widths[pending], kind="stable")]
+            retry, start = [], 0
+            # widest row last, so a block's width is that of its last row
+            for stop, width in enumerate(widths[pending].tolist()):
+                if stop > start and (stop + 1 - start) * width > _BLOCK_TERMS:
+                    retry.append(run(pending[start:stop]))
+                    start = stop
+            retry.append(run(pending[start:]))
+            pending = np.concatenate(retry)
+    return sums.tolist()
+
+
+def _signed_gamma_series(c: float, size: int, offset: int) -> float:
+    """:func:`_gamma_sums` of the one row (c, size)."""
+    return _gamma_sums([c], [size], offset)[0]
 
 
 def _large_argument(size: int, b_val: float, a_val: float) -> bool:
@@ -141,14 +259,26 @@ def _large_argument(size: int, b_val: float, a_val: float) -> bool:
     return size * b_val * a_val > size / 2.0
 
 
-def _flags(value: float, lo: float, hi: float, suspect: bool) -> tuple[bool, str]:
+def _series_value(value: float, terms_used: int, lo: float, hi: float,
+                  suspect: bool) -> SeriesValue:
     in_bounds = math.isfinite(value) and lo <= value <= hi
     note = TRUNCATION_SUSPECT if (suspect or not in_bounds) else ASYMPTOTIC_OK
-    return in_bounds, note
+    return SeriesValue(value, terms_used, in_bounds, note)
+
+
+def _check_sizes(sizes, least: int, message: str) -> list[int]:
+    sizes = [int(size) for size in sizes]
+    if any(size < least for size in sizes):
+        raise ArgumentError(message)
+    return sizes
 
 
 # ---------------------------------------------------------------------------
 # operations
+#
+# Each table formula is a sweep over a list of sizes, with one evaluation of
+# the point constants and one _gamma_sums call per series it adds; the
+# one-size functions are sweeps of one size.
 
 
 def w_alpha_series(
@@ -169,8 +299,18 @@ def w_alpha_series(
         raise ArgumentError("w_alpha_series: alpha must be nonnegative")
     b_val, a_val, _ = fam.point_constants(spec, theta, x)
     value = _signed_gamma_series(-alpha * m * b_val * a_val, m, 0)
-    in_bounds, note = _flags(value, 0.0, 1.0, _large_argument(m, b_val, a_val))
-    return SeriesValue(value, m, in_bounds, note)
+    return _series_value(value, m, 0.0, 1.0, _large_argument(m, b_val, a_val))
+
+
+def expected_cdf_hat_sweep(
+    spec: fam.FamilySpec, theta: float, x: float, sizes
+) -> list[SeriesValue]:
+    """:func:`expected_cdf_hat_series` at each of ``sizes``, in order."""
+    sizes = _check_sizes(sizes, 1, "expected_cdf_hat_series: size must be at least 1")
+    b_val, a_val, _ = fam.point_constants(spec, theta, x)
+    ws = _gamma_sums([-size * b_val * a_val for size in sizes], sizes, 0)
+    return [_series_value(1.0 - w, size, 0.0, 1.0, _large_argument(size, b_val, a_val))
+            for size, w in zip(sizes, ws)]
 
 
 def expected_cdf_hat_series(
@@ -184,13 +324,21 @@ def expected_cdf_hat_series(
     exactly 0. Values outside [0, 1] are possible under hard truncation and
     are flagged, not corrected.
     """
-    size = int(size)
-    if size < 1:
-        raise ArgumentError("expected_cdf_hat_series: size must be at least 1")
-    b_val, a_val, _ = fam.point_constants(spec, theta, x)
-    value = 1.0 - _signed_gamma_series(-size * b_val * a_val, size, 0)
-    in_bounds, note = _flags(value, 0.0, 1.0, _large_argument(size, b_val, a_val))
-    return SeriesValue(value, size, in_bounds, note)
+    return expected_cdf_hat_sweep(spec, theta, x, [size])[0]
+
+
+def expected_pdf_hat_sweep(
+    spec: fam.FamilySpec, theta: float, x: float, sizes
+) -> list[SeriesValue]:
+    """:func:`expected_pdf_hat_series` at each of ``sizes``, in order."""
+    sizes = _check_sizes(
+        sizes, 2, "expected_pdf_hat_series: size must be at least 2 (empty sum below)"
+    )
+    b_val, a_val, ap_val = fam.point_constants(spec, theta, x)
+    cores = _gamma_sums([-size * b_val * a_val for size in sizes], sizes, 1)
+    return [_series_value(size * b_val * ap_val * core, size - 1, 0.0, math.inf,
+                          _large_argument(size, b_val, a_val))
+            for size, core in zip(sizes, cores)]
 
 
 def expected_pdf_hat_series(
@@ -203,16 +351,23 @@ def expected_pdf_hat_series(
     The sum is empty at size 1, so size must be at least 2. At A(x) = 0
     only the i = 0 term survives: size/(size-1) * B * A'(x).
     """
-    size = int(size)
-    if size < 2:
-        raise ArgumentError(
-            "expected_pdf_hat_series: size must be at least 2 (empty sum below)"
-        )
-    b_val, a_val, ap_val = fam.point_constants(spec, theta, x)
-    core = _signed_gamma_series(-size * b_val * a_val, size, 1)
-    value = size * b_val * ap_val * core
-    in_bounds, note = _flags(value, 0.0, math.inf, _large_argument(size, b_val, a_val))
-    return SeriesValue(value, size - 1, in_bounds, note)
+    return expected_pdf_hat_sweep(spec, theta, x, [size])[0]
+
+
+def mse_cdf_hat_sweep(
+    spec: fam.FamilySpec, theta: float, x: float, sizes
+) -> list[SeriesValue]:
+    """:func:`mse_cdf_hat_series` at each of ``sizes``, in order."""
+    sizes = _check_sizes(sizes, 1, "mse_cdf_hat_series: size must be at least 1")
+    b_val, a_val, _ = fam.point_constants(spec, theta, x)
+    ba = b_val * a_val
+    ws = _gamma_sums([-2.0 * size * ba for size in sizes]
+                     + [-size * ba for size in sizes], sizes + sizes, 0)
+    out = []
+    for size, w2, w1 in zip(sizes, ws, ws[len(sizes):]):
+        value = w2 - 2.0 * math.exp(-ba) * w1 + math.exp(-2.0 * ba)
+        out.append(_series_value(value, size, 0.0, 1.0, _large_argument(size, b_val, a_val)))
+    return out
 
 
 def mse_cdf_hat_series(
@@ -224,16 +379,36 @@ def mse_cdf_hat_series(
     the truncated W series; equals the direct three-part series display
     term for term. Zero exactly at A(x) = 0. The exact MSE lies in [0, 1].
     """
-    size = int(size)
-    if size < 1:
-        raise ArgumentError("mse_cdf_hat_series: size must be at least 1")
-    b_val, a_val, _ = fam.point_constants(spec, theta, x)
+    return mse_cdf_hat_sweep(spec, theta, x, [size])[0]
+
+
+def mse_pdf_hat_sweep(
+    spec: fam.FamilySpec, theta: float, x: float, sizes, as_printed: bool = False
+) -> list[SeriesValue]:
+    """:func:`mse_pdf_hat_series` at each of ``sizes``, in order."""
+    sizes = _check_sizes(
+        sizes, 3, "mse_pdf_hat_series: size must be at least 3 (first sum empty below)"
+    )
+    b_val, a_val, ap_val = fam.point_constants(spec, theta, x)
     ba = b_val * a_val
-    w2 = _signed_gamma_series(-2.0 * size * ba, size, 0)
-    w1 = _signed_gamma_series(-size * ba, size, 0)
-    value = w2 - 2.0 * math.exp(-ba) * w1 + math.exp(-2.0 * ba)
-    in_bounds, note = _flags(value, 0.0, 1.0, _large_argument(size, b_val, a_val))
-    return SeriesValue(value, size, in_bounds, note)
+    s1s = _gamma_sums([-2.0 * size * ba for size in sizes], sizes, 2)
+    s2s = _gamma_sums([-size * ba for size in sizes], sizes, 1)
+    out = []
+    for size, s1, s2 in zip(sizes, s1s, s2s):
+        if as_printed:
+            value = (
+                (b_val * ap_val) ** 2 * s1
+                - 2.0 * size * ap_val * b_val**2 * math.exp(-ba) * s2
+                - (ap_val * b_val) ** 2 * math.exp(-2.0 * ba)
+            )
+        else:
+            f_exact = ap_val * b_val * math.exp(-ba)
+            e_pdf = size * b_val * ap_val * s2
+            e_pdf_sq = (size * b_val * ap_val) ** 2 * s1
+            value = e_pdf_sq - 2.0 * f_exact * e_pdf + f_exact**2
+        out.append(_series_value(value, size - 2, 0.0, math.inf,
+                                 _large_argument(size, b_val, a_val)))
+    return out
 
 
 def mse_pdf_hat_series(
@@ -259,28 +434,7 @@ def mse_pdf_hat_series(
     be reproduced and measured, and it disagrees with the oracle badly
     (wrong sign at moderate sizes).
     """
-    size = int(size)
-    if size < 3:
-        raise ArgumentError(
-            "mse_pdf_hat_series: size must be at least 3 (first sum empty below)"
-        )
-    b_val, a_val, ap_val = fam.point_constants(spec, theta, x)
-    ba = b_val * a_val
-    s1 = _signed_gamma_series(-2.0 * size * ba, size, 2)
-    s2 = _signed_gamma_series(-size * ba, size, 1)
-    if as_printed:
-        value = (
-            (b_val * ap_val) ** 2 * s1
-            - 2.0 * size * ap_val * b_val**2 * math.exp(-ba) * s2
-            - (ap_val * b_val) ** 2 * math.exp(-2.0 * ba)
-        )
-    else:
-        f_exact = ap_val * b_val * math.exp(-ba)
-        e_pdf = size * b_val * ap_val * s2
-        e_pdf_sq = (size * b_val * ap_val) ** 2 * s1
-        value = e_pdf_sq - 2.0 * f_exact * e_pdf + f_exact**2
-    in_bounds, note = _flags(value, 0.0, math.inf, _large_argument(size, b_val, a_val))
-    return SeriesValue(value, size - 2, in_bounds, note)
+    return mse_pdf_hat_sweep(spec, theta, x, [size], as_printed)[0]
 
 
 def alpha_n_exponential(theta: float, n: int) -> float:
@@ -296,6 +450,26 @@ def alpha_n_exponential(theta: float, n: int) -> float:
     if not (theta > 0.0):
         raise DomainError("alpha_n_exponential: theta must be positive")
     return theta * theta / n
+
+
+def mse_g_power_sweep(theta: float, sizes, k: float) -> list[SeriesValue]:
+    """:func:`mse_g_power_series` at each of the sizes n, in order."""
+    sizes = _check_sizes(sizes, 1, "mse_g_power_series: n must be at least 1")
+    k = float(k)
+    if not (k > 0.0) or k == 1.0 or math.isnan(k):
+        raise ArgumentError(
+            "mse_g_power_series: k must be positive and not 1 (g degenerates)"
+        )
+    theta = float(theta)
+    if not (theta > 0.0):
+        raise DomainError("mse_g_power_series: theta must be positive")
+    log_k = math.log(k)
+    es = _gamma_sums([n * theta * log_k for n in sizes]
+                     + [2.0 * n * theta * log_k for n in sizes], sizes + sizes, 0)
+    g_true = k**theta
+    hi = math.inf if k > 1.0 else max(g_true, 1.0 - g_true) ** 2
+    return [_series_value(e2 - 2.0 * g_true * e1 + g_true * g_true, n, 0.0, hi, k > 1.0)
+            for n, e1, e2 in zip(sizes, es, es[len(sizes):])]
 
 
 def mse_g_power_series(theta: float, n: int, k: float) -> SeriesValue:
@@ -318,25 +492,7 @@ def mse_g_power_series(theta: float, n: int, k: float) -> SeriesValue:
     exact MSE lies in [0, max(g, 1 - g)^2], which is the window for the
     flag (0.25 at g = 1/2).
     """
-    n = int(n)
-    if n < 1:
-        raise ArgumentError("mse_g_power_series: n must be at least 1")
-    k = float(k)
-    if not (k > 0.0) or k == 1.0 or math.isnan(k):
-        raise ArgumentError(
-            "mse_g_power_series: k must be positive and not 1 (g degenerates)"
-        )
-    theta = float(theta)
-    if not (theta > 0.0):
-        raise DomainError("mse_g_power_series: theta must be positive")
-    log_k = math.log(k)
-    e1 = _signed_gamma_series(n * theta * log_k, n, 0)
-    e2 = _signed_gamma_series(2.0 * n * theta * log_k, n, 0)
-    g_true = k**theta
-    value = e2 - 2.0 * g_true * e1 + g_true * g_true
-    hi = math.inf if k > 1.0 else max(g_true, 1.0 - g_true) ** 2
-    in_bounds, note = _flags(value, 0.0, hi, k > 1.0)
-    return SeriesValue(value, n, in_bounds, note)
+    return mse_g_power_sweep(theta, [n], k)[0]
 
 
 def gamma_ratio(i: int, n: int) -> float:

@@ -315,17 +315,19 @@ def _estimator(
 
 @dataclass(frozen=True, slots=True)
 class Target:
-    """One moment target: its ``table --formula`` name and three routes.
+    """One moment target: its ``table --formula`` name and four routes.
 
     The routes take ``(spec, theta, x, size, k)``; x is read only when
     ``needs_x``, k is the base of the power target. ``series`` gives the
     truncated :class:`closedform.SeriesValue` (None: no series for a general
-    family); ``exact`` gives the quadrature value or raises
-    :class:`DivergenceError`. Both oracles take the plug-in ``estimator`` of
-    the ``_estimator`` table (the power target's quadrature excepted): the
-    mean of the estimator (``kind`` "mean") or of its squared error against
-    the true value ("mse"). The lambdas look closedform functions up at call time,
-    so wrappers set on that module (the benchmark's tracing) see the calls.
+    family), and ``sweep`` the same over a list of sizes in one call, with
+    the size list in place of the size; ``exact`` gives the quadrature
+    value or raises :class:`DivergenceError`. Both oracles take the plug-in
+    ``estimator`` of the ``_estimator`` table (the power target's quadrature
+    excepted): the mean of the estimator (``kind`` "mean") or of its squared
+    error against the true value ("mse"). The lambdas look closedform
+    functions up at call time, so wrappers set on that module (the
+    benchmark's tracing) see the calls.
     """
 
     name: str
@@ -333,6 +335,7 @@ class Target:
     estimator: str
     kind: str
     series: Optional[Callable[..., closedform.SeriesValue]]
+    sweep: Optional[Callable[..., list[closedform.SeriesValue]]]
     exact: Callable[..., float]
 
     @property
@@ -358,20 +361,25 @@ def _exact_mse_g(spec, theta, x, size, k) -> float:
 REGISTRY = {t.name: t for t in (
     Target("E_cdf_hat", "E-cdf", "cdf_hat", "mean",
            lambda s, th, x, n, k: closedform.expected_cdf_hat_series(s, th, x, n),
+           lambda s, th, x, ns, k: closedform.expected_cdf_hat_sweep(s, th, x, ns),
            lambda s, th, x, n, k: exact_expected_cdf_hat(s, th, x, n)),
     Target("E_pdf_hat", "E-pdf", "pdf_hat", "mean",
            lambda s, th, x, n, k: closedform.expected_pdf_hat_series(s, th, x, n),
+           lambda s, th, x, ns, k: closedform.expected_pdf_hat_sweep(s, th, x, ns),
            lambda s, th, x, n, k: exact_expected_pdf_hat(s, th, x, n)),
     Target("MSE_cdf_hat", "MSE-cdf", "cdf_hat", "mse",
            lambda s, th, x, n, k: closedform.mse_cdf_hat_series(s, th, x, n),
+           lambda s, th, x, ns, k: closedform.mse_cdf_hat_sweep(s, th, x, ns),
            lambda s, th, x, n, k: exact_mse_cdf_hat(s, th, x, n)),
     Target("MSE_pdf_hat", "MSE-pdf", "pdf_hat", "mse",
            lambda s, th, x, n, k, **kw: closedform.mse_pdf_hat_series(s, th, x, n, **kw),
+           lambda s, th, x, ns, k, **kw: closedform.mse_pdf_hat_sweep(s, th, x, ns, **kw),
            lambda s, th, x, n, k: exact_mse_pdf_hat(s, th, x, n)),
-    Target("MSE_theta_hat", "alpha-n", "theta_hat", "mse", None,
+    Target("MSE_theta_hat", "alpha-n", "theta_hat", "mse", None, None,
            lambda s, th, x, n, k: exact_mse_theta_hat(s, th, n)),
     Target("MSE_g_hat", "mse-g", "g_hat", "mse",
            lambda s, th, x, n, k: closedform.mse_g_power_series(th, n, k),
+           lambda s, th, x, ns, k: closedform.mse_g_power_sweep(th, ns, k),
            _exact_mse_g),
 )}
 TARGETS = tuple(REGISTRY)

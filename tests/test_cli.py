@@ -642,6 +642,32 @@ def test_large_sweep_stdout_digests(command, digest, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# a table over an unsorted size list with repeats prints, in that order, the
+# rows the one-size tables print
+_SWEEP_ORDER = [
+    ("E-cdf", "--family exponential --theta 1.1 --x 0.9", "2000,3,3,700,1"),
+    ("E-pdf", "--family lomax --theta 0.8 --x 1.5", "2000,3,3,700,2"),
+    ("MSE-cdf", "--family weibull:alpha=2 --theta 1.3 --x 1.2", "2000,3,3,700,1"),
+    ("MSE-pdf", "--family exponential --theta 1 --x 1", "2000,3,3,700,4"),
+    ("MSE-pdf", "--family lomax --theta 1.2 --x 0.7 --as-printed", "2000,3,3,700,4"),
+    ("mse-g", "--theta 1.2 --k 0.4", "2000,3,3,700,1"),
+    ("alpha-n", "--theta 2", "2000,3,3,700,1"),
+]
+
+
+@pytest.mark.parametrize("formula,options,sizes", _SWEEP_ORDER,
+                         ids=[f"{f}{'-as-printed' if '--as-printed' in o else ''}"
+                              for f, o, _ in _SWEEP_ORDER])
+def test_table_sweep_rows_are_the_one_size_rows(formula, options, sizes):
+    argv = ["table", "--formula", formula, *options.split()]
+    swept = run_cli(*argv, "--sizes", sizes).stdout.splitlines()
+    header, rows = swept[0], swept[1:]
+    assert len(rows) == len(sizes.split(","))
+    for size, row in zip(sizes.split(","), rows):
+        single = run_cli(*argv, "--sizes", size).stdout.splitlines()
+        assert single == [header, row], size
+
+
 # (family, theta, simulate seed, eval grid) -> sha256 of the stdout of fit,
 # fit --records and eval --what cdf-hat --data on a simulated n = 20 000 sample
 _FIT_PATH_STDOUT = [

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from recordmle import (
     ArgumentError,
@@ -31,8 +33,16 @@ from recordmle import (
 from recordmle.closedform import (
     ASYMPTOTIC_OK,
     TRUNCATION_SUSPECT,
+    _CUT,
+    _HEAD,
+    _gamma_sums,
     _series_log_magnitudes,
     _signed_gamma_series,
+    expected_cdf_hat_sweep,
+    expected_pdf_hat_sweep,
+    mse_cdf_hat_sweep,
+    mse_g_power_sweep,
+    mse_pdf_hat_sweep,
 )
 
 EXP = make_exponential()
@@ -342,6 +352,180 @@ def test_core_series_at_table_sizes(size, offset, ba):
                  + math.lgamma(i + 1) + math.lgamma(size))
         err = float(abs(got - want))
         assert err <= (8.0 * parts + 2.0) * eps * float(abs(want)) + 1e-300, i
+
+
+def _row_log_magnitudes(c, size, offset):
+    """The log magnitudes as one 1-D expression, the order the kernel keeps."""
+    lg = [math.inf] + [math.lgamma(j) for j in range(1, size + 1)]
+    top = size - offset
+    count = top if c else 1
+    log_abs_c = math.log(abs(c)) if c else 0.0
+    logs = np.arange(count) * log_abs_c + np.array(lg[top : top - count : -1])
+    return logs - np.array(lg[1 : count + 1]) - lg[size]
+
+
+@given(
+    c=st.one_of(st.floats(min_value=-1e4, max_value=1e4),
+                st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])),
+    size=st.integers(min_value=1, max_value=700),
+    offset=st.integers(min_value=0, max_value=2),
+)
+@settings(max_examples=120)
+# np.log(|c|) differs from math.log(|c|) in the last bit at these c
+@example(c=-3.0454414952407385, size=6, offset=0)
+@example(c=-1009.0142570300205, size=419, offset=0)
+def test_log_magnitudes_bit_for_bit(c, size, offset):
+    # the kernel's 2-D block, read one row wide, against the 1-D expression
+    # the referee below sums
+    if size <= offset:
+        return
+    with np.errstate(invalid="ignore"):
+        got = _series_log_magnitudes(c, size, offset)
+        want = _row_log_magnitudes(c, size, offset)
+    assert got.tobytes() == want.tobytes()
+
+
+def _check_sweep(cs, sizes, offset):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _gamma_sums(cs, sizes, offset)
+        want = [_sum_of_all_terms(c, size, offset) for c, size in zip(cs, sizes)]
+    assert len(got) == len(cs)
+    for g, w, c, size in zip(got, want, cs, sizes):
+        assert g.hex() == w.hex(), (c, size, offset)
+
+
+@st.composite
+def _sweeps(draw):
+    """A sweep: sizes 1..3000 in any order with repeats, c = +-size 10^u, u in [-3, 3],
+    with some c = 0, +-inf and nan."""
+    offset = draw(st.integers(min_value=0, max_value=2))
+    size = st.one_of(st.integers(min_value=offset + 1, max_value=3000),
+                     st.integers(min_value=max(offset + 1, _HEAD - 3), max_value=_HEAD + 3))
+    rows = draw(st.lists(st.tuples(size, st.floats(min_value=-3.0, max_value=3.0),
+                                   st.sampled_from([-1.0, 1.0])),
+                         min_size=1, max_size=12))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))  # repeated rows
+    cs = [sign * size * 10.0**u for size, u, sign in rows]
+    special = st.sampled_from([0.0, math.inf, -math.inf, math.nan])
+    for k in draw(st.lists(st.integers(min_value=0, max_value=len(cs) - 1), max_size=2)):
+        cs[k] = draw(special)
+    return cs, [size for size, _, _ in rows], offset
+
+
+@given(_sweeps())
+@settings(max_examples=150)
+def test_gamma_sums_match_the_sum_of_all_terms(sweep):
+    _check_sweep(*sweep)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2])
+def test_gamma_sums_widened_and_full_width_rows(offset):
+    # sizes around the head width; B A = 5 and 10 leave terms above the cut
+    # at the head's end, so those rows are widened; c = 0, +-inf and nan,
+    # and overflowing rows, end at full width
+    sizes = [offset + 1, _HEAD - 1, _HEAD, _HEAD + 1, _HEAD + 2, 1000, 3000]
+    cs, rows = [], []
+    for size in sizes:
+        for c in [-size * u for u in (0.3, 1.5, 5.0, 10.0)] + [size * 5.0, 2e6, -2e6,
+                                                              0.0, math.inf, -math.inf,
+                                                              math.nan]:
+            cs.append(c)
+            rows.append(size)
+    # at size 1110 to 1130 and c = -size 10^1.9 the head, widened to 1024,
+    # ends falling below the cut, while the terms near the row's end rise
+    # back above -745: the check on the row's last term sends these on
+    for size in (1110, 1120, 1130):
+        for e in np.linspace(1.88, 1.92, 9).tolist():
+            cs.append(-size * 10.0**e)
+            rows.append(size)
+    # np.log(|c|) differs from math.log(|c|) in the last bit at these, and
+    # at offset 0 so do the sums
+    for size, c in ((6, -3.0454414952407385), (13, -7.3491286749474645),
+                    (419, -1009.0142570300205), (593, -841.8152030372023)):
+        cs += [c, -c]
+        rows += [size, size]
+    widened = [c for c, size in zip(cs, rows) if c and math.isfinite(c)
+               and size - offset > _HEAD
+               and _series_log_magnitudes(c, size, offset)[_HEAD - 1] >= _CUT]
+    assert len(widened) >= 10
+    rising_again = [c for c, size in zip(cs, rows) if size in (1110, 1120, 1130)
+                    and _series_log_magnitudes(c, size, offset)[-20:].max() > -745.0
+                    and _series_log_magnitudes(c, size, offset)[1023] < _CUT]
+    assert rising_again
+    order = list(range(len(cs)))
+    random.Random(offset).shuffle(order)
+    _check_sweep([cs[k] for k in order], [rows[k] for k in order], offset)
+
+
+def test_gamma_sums_near_float64_limit_in_one_sweep():
+    # the rows of test_core_series_near_float64_limit_bit_for_bit, every
+    # size, sign and peak of one offset in one shuffled sweep
+    for offset in range(3):
+        cs, sizes = [], []
+        for size in (10, 60, 200, 1000, 2000):
+            for sign in (-1.0, 1.0):
+                for peak in (700.0, 709.0, 709.7, 709.78, 710.0, 720.0):
+                    lo, hi = 1e-3, 1e300 / size
+                    for _ in range(80):
+                        mid = math.sqrt(lo * hi)
+                        mags = _series_log_magnitudes(sign * size * mid, size, offset)
+                        if mags.max() < peak:
+                            lo = mid
+                        else:
+                            hi = mid
+                    cs.append(sign * size * lo)
+                    sizes.append(size)
+        order = list(range(len(cs)))
+        random.Random(offset).shuffle(order)
+        _check_sweep([cs[k] for k in order], [sizes[k] for k in order], offset)
+
+
+def test_gamma_sums_of_no_rows():
+    assert _gamma_sums([], [], 0) == []
+
+
+def test_sweep_memory_is_bounded():
+    sizes = range(1, 2001)
+    expected_cdf_hat_sweep(EXP, 1.0, 1.0, sizes)  # the log-gamma table is grown
+    tracemalloc.start()
+    try:
+        expected_cdf_hat_sweep(EXP, 1.0, 1.0, sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _same_series_value(a, b):
+    return ((a.value.hex(), a.terms_used, a.in_natural_bounds, a.regime_note)
+            == (b.value.hex(), b.terms_used, b.in_natural_bounds, b.regime_note))
+
+
+@pytest.mark.parametrize("spec", [make_exponential(), make_lomax(), make_weibull(2.0)],
+                         ids=lambda s: s.name)
+@pytest.mark.parametrize("x", [0.0, 0.4, 1.3, 40.0])
+def test_each_series_is_its_sweep_row(spec, x):
+    sizes = [2000, 3, 3, 700, 1, 2, 257]
+    theta = 1.3
+    cases = [
+        (expected_cdf_hat_series, expected_cdf_hat_sweep, 1, ()),
+        (expected_pdf_hat_series, expected_pdf_hat_sweep, 2, ()),
+        (mse_cdf_hat_series, mse_cdf_hat_sweep, 1, ()),
+        (mse_pdf_hat_series, mse_pdf_hat_sweep, 3, ()),
+        (mse_pdf_hat_series, mse_pdf_hat_sweep, 3, (True,)),
+    ]
+    for series, sweep, least, extra in cases:
+        valid = [n for n in sizes if n >= least]
+        rows = sweep(spec, theta, x, valid, *extra)
+        assert len(rows) == len(valid)
+        for n, row in zip(valid, rows):
+            assert _same_series_value(series(spec, theta, x, n, *extra), row), (series, n)
+        with pytest.raises(ArgumentError):
+            sweep(spec, theta, x, sizes + [least - 1], *extra)
+    for k in (0.4, math.e, 1e300):
+        rows = mse_g_power_sweep(1.0, sizes, k)
+        for n, row in zip(sizes, rows):
+            assert _same_series_value(mse_g_power_series(1.0, n, k), row), (k, n)
 
 
 def test_alpha_n_values():
