@@ -595,6 +595,9 @@ _SEEDED_STDOUT = [
      "129204e811effaa2ef8ce61194dc57e97fc3af2ede498352193b03f63568fd9d"),
     ("verify --suite consistency --seed 1 --json",
      "74781d65d7e894a872af352de97190128c549ddfe21e82874576121fa6ae7df0"),
+    # the report form, and the order in which `all` runs the suites
+    ("verify --suite all --seed 1",
+     "5abb0e32992af534797cc7134d566a2f1b25d0f3eda5cf1f3ae806757b8ff1fe"),
 ]
 
 
