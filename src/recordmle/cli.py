@@ -1,5 +1,8 @@
 """Command-line front end: families | simulate | fit | eval | table | verify.
 
+Each subcommand checks its flags, calls the library and emits the result;
+``verify`` prints the records of the suites in :mod:`recordmle.verify`.
+
 Every randomized subcommand requires --seed; given the same flags and seed
 the byte output is identical across runs and worker counts on one host:
 the same bytes hold for one numpy build at one SIMD dispatch level, whose
@@ -27,10 +30,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, closedform, estimate
+from . import __version__, estimate
 from . import family as fam
-from . import oracle, records
-from ._streams import mix_seed_stream
+from . import oracle, records, verify
 from .errors import ArgumentError, RecordMleError
 
 __all__ = ["main"]
@@ -150,51 +152,6 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _expand_config(argv: list[str]) -> list[str]:
-    """Splice a flat key=value config file in as flags after the subcommand.
-
-    Explicit command-line flags override the file because they come later
-    in the argument list. A key with value true/false toggles a boolean
-    flag.
-    """
-    flat: list[str] = []
-    path = None
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            _require(i + 1 < len(argv), "--config needs a path")
-            path = argv[i + 1]
-            i += 2
-            continue
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            i += 1
-            continue
-        flat.append(tok)
-        i += 1
-    if path is None:
-        return flat
-    if not flat:
-        raise ArgumentError("--config requires a subcommand")
-    tokens: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            _require(bool(sep), f"malformed config line {line!r}; expected key=value")
-            key, value = key.strip(), value.strip()
-            if value.lower() == "true":
-                tokens.append(f"--{key}")
-            elif value.lower() == "false":
-                continue
-            else:
-                tokens.extend([f"--{key}", value])
-    return [flat[0]] + tokens + flat[1:]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -301,225 +258,17 @@ def _cmd_table(args) -> tuple[list[dict], int]:
     else:
         _require(args.family is None and args.x is None,
                  f"--family and --x do not apply to --formula {args.formula}")
-    if target.sweep is None:  # alpha-n: the exponential theta^2 / n, exact
-        rows = [(size, closedform.alpha_n_exponential(args.theta, size), True,
-                 closedform.ASYMPTOTIC_OK) for size in sizes]
-    else:
-        options = {"as_printed": True} if args.as_printed else {}
-        rows = [(size, sv.value, sv.in_natural_bounds, sv.regime_note) for size, sv in
-                zip(sizes, target.sweep(spec, args.theta, args.x, sizes, args.k, **options))]
+    options = {"as_printed": True} if args.as_printed else {}
+    rows = [(size, sv.value, sv.in_natural_bounds, sv.regime_note) for size, sv in
+            zip(sizes, target.sweep(spec, args.theta, args.x, sizes, args.k, **options))]
     return _emit(_csv(["size", "value", "in_bounds", "regime"], rows), args), 0
-
-
-# ---------------------------------------------------------------------------
-# verify suites
-
-
-def _check(name: str, passed: bool, **data) -> dict:
-    entry = {"name": name, "passed": bool(passed)}
-    entry.update(data)
-    return entry
-
-
-def _suite(name: str, checks: list[dict], **meta) -> dict:
-    """One suite record; every suite runs on the exponential member at theta = 1."""
-    return {"suite": name, "family": "exponential", "theta": 1.0, **meta,
-            "checks": checks, "passed": all(c["passed"] for c in checks)}
-
-
-def _series_vs_exact(target: str) -> dict:
-    """A target's size-200 series at x = 1 against its exact value, within 1e-3."""
-    entry, spec = oracle.REGISTRY[target], fam.make_exponential()
-    series = entry.series(spec, 1.0, 1.0, 200, None).value
-    exact = entry.exact(spec, 1.0, 1.0, 200, None)
-    return _check(
-        f"{target.removesuffix('_hat')}_series_vs_exact_size200",
-        abs(series - exact) < 1e-3,
-        series=series,
-        exact=exact,
-        abs_error=abs(series - exact),
-        tolerance=1e-3,
-    )
-
-
-def _suite_theorem1(seed: int, workers: int) -> dict:
-    """Sample-based and record-based estimators share one law at n = m."""
-    size, reps, x = 5, 20_000, math.log(2.0)
-    cfg_s = oracle.ExperimentConfig(
-        "exponential", 1.0, (size,), (x,), reps=reps, seed=mix_seed_stream(seed, 1)
-    )
-    cfg_r = oracle.ExperimentConfig(
-        "exponential", 1.0, (size,), (x,), reps=reps, seed=mix_seed_stream(seed, 2)
-    )
-    checks = []
-    for stat, label in (("theta_hat", "ks_theta_hat"), ("cdf_hat", "ks_cdf_hat_at_log2")):
-        a = oracle.mc_statistic_array(cfg_s, "sample", stat, workers)
-        b = oracle.mc_statistic_array(cfg_r, "records_direct", stat, workers)
-        d = oracle.ks_two_sample(a, b)
-        checks.append(_check(label, d < 0.02, statistic=d, threshold=0.02))
-    return _suite("theorem1", checks, size=size, reps_per_arm=reps)
-
-
-def _suite_example1(seed: int, workers: int) -> dict:
-    """MC MSE of theta_hat against theta^2/n, sample and record versions."""
-    reps = 200_000
-    checks = []
-    sample_reports = {}
-    for idx, n in enumerate((5, 10, 20)):
-        cfg = oracle.ExperimentConfig(
-            "exponential", 1.0, (n,), reps=reps, seed=mix_seed_stream(seed, 10 + idx)
-        )
-        rep = oracle.mc_estimate(cfg, "MSE_theta_hat", "sample", workers)
-        sample_reports[n] = rep
-        expected = closedform.alpha_n_exponential(1.0, n)
-        rel = abs(rep.mc_value - expected) / expected
-        checks.append(
-            _check(
-                f"mse_theta_sample_n{n}",
-                rel <= 0.03,
-                mc_value=rep.mc_value,
-                mc_stderr=rep.mc_stderr,
-                expected=expected,
-                rel_error=rel,
-                tolerance=0.03,
-            )
-        )
-    cfg_r = oracle.ExperimentConfig(
-        "exponential", 1.0, (10,), reps=reps, seed=mix_seed_stream(seed, 20)
-    )
-    rep_r = oracle.mc_estimate(cfg_r, "MSE_theta_hat", "records_direct", workers)
-    rep_s = sample_reports[10]
-    gap = abs(rep_r.mc_value - rep_s.mc_value)
-    bound = 2.0 * math.hypot(rep_r.mc_stderr, rep_s.mc_stderr)
-    checks.append(
-        _check(
-            "mse_records_m10_vs_sample_n10",
-            gap <= bound,
-            records_value=rep_r.mc_value,
-            sample_value=rep_s.mc_value,
-            gap=gap,
-            bound=bound,
-        )
-    )
-    return _suite("example1", checks, reps=reps)
-
-
-def _suite_theorem3(seed: int, workers: int) -> dict:
-    """Truncated mean series against exact quadrature, plus the size-2 defect."""
-    spec = fam.make_exponential()
-    defect = closedform.expected_cdf_hat_series(spec, 1.0, 0.8, 2)
-    exact_defect = oracle.exact_expected_cdf_hat(spec, 1.0, 0.8, 2)
-    checks = [
-        _series_vs_exact("E_cdf_hat"),
-        _series_vs_exact("E_pdf_hat"),
-        _check(
-            "size2_truncation_defect_detected",
-            abs(defect.value - 1.6) < 1e-12
-            and not defect.in_natural_bounds
-            and 0.0 < exact_defect < 1.0,
-            series=defect.value,
-            in_natural_bounds=defect.in_natural_bounds,
-            regime_note=defect.regime_note,
-            exact=exact_defect,
-        ),
-    ]
-    return _suite("theorem3", checks)
-
-
-def _suite_theorem4(seed: int, workers: int) -> dict:
-    """MSE series against exact quadrature; adjudicates the cross-term sign."""
-    spec = fam.make_exponential()
-    default = closedform.mse_pdf_hat_series(spec, 1.0, 1.0, 200)
-    printed = closedform.mse_pdf_hat_series(spec, 1.0, 1.0, 200, as_printed=True)
-    exact_p = oracle.exact_mse_pdf_hat(spec, 1.0, 1.0, 200)
-    checks = [
-        _series_vs_exact("MSE_cdf_hat"),
-        _check(
-            "MSE_pdf_sign_adjudication_size200",
-            abs(default.value - exact_p) < 2e-3,
-            default_form=default.value,
-            exact=exact_p,
-            abs_error=abs(default.value - exact_p),
-            tolerance=2e-3,
-            as_printed_form=printed.value,
-            as_printed_gap=abs(printed.value - exact_p),
-        ),
-    ]
-    return _suite("theorem4", checks)
-
-
-def _suite_theorem5(seed: int, workers: int) -> dict:
-    """Bias of the exact estimator means vanishes with size at the median."""
-    spec = fam.make_exponential()
-    x = math.log(2.0)
-    f_true, big_f = 0.5, 0.5
-    sizes = (2, 5, 20, 100)
-    gaps_cdf = [
-        abs(oracle.exact_expected_cdf_hat(spec, 1.0, x, s) - big_f) for s in sizes
-    ]
-    gaps_pdf = [
-        abs(oracle.exact_expected_pdf_hat(spec, 1.0, x, s) - f_true) for s in sizes
-    ]
-    checks = [
-        _check(
-            "cdf_bias_strictly_decreasing",
-            all(b < a for a, b in zip(gaps_cdf, gaps_cdf[1:])),
-            sizes=list(sizes),
-            gaps=gaps_cdf,
-        ),
-        _check(
-            "cdf_bias_small_at_100", gaps_cdf[-1] < 0.01, gap=gaps_cdf[-1], tolerance=0.01
-        ),
-        _check(
-            "pdf_bias_strictly_decreasing",
-            all(b < a for a, b in zip(gaps_pdf, gaps_pdf[1:])),
-            sizes=list(sizes),
-            gaps=gaps_pdf,
-        ),
-        _check(
-            "pdf_bias_small_at_100",
-            gaps_pdf[-1] < 0.01 * f_true,
-            gap=gaps_pdf[-1],
-            tolerance=0.01 * f_true,
-        ),
-    ]
-    return _suite("theorem5", checks, x=x)
-
-
-def _suite_consistency(seed: int, workers: int) -> dict:
-    """Exceedance probability of the record MLE shrinks with the record count."""
-    spec = fam.make_exponential()
-    curve = oracle.consistency_curve(
-        spec, 1.0, 0.2, (5, 20, 80), 20_000, mix_seed_stream(seed, 60),
-        source="records_direct", workers=workers,
-    )
-    probs = [p for _, p in curve]
-    checks = [
-        _check(
-            "exceedance_strictly_decreasing",
-            all(b < a for a, b in zip(probs, probs[1:])),
-            curve=[[s, p] for s, p in curve],
-        ),
-        _check("final_below_quarter", probs[-1] < 0.25, final=probs[-1], tolerance=0.25),
-    ]
-    return _suite("consistency", checks, eps=0.2, reps=20_000)
-
-
-_SUITES = {
-    "theorem1": _suite_theorem1,
-    "example1": _suite_example1,
-    "theorem3": _suite_theorem3,
-    "theorem4": _suite_theorem4,
-    "theorem5": _suite_theorem5,
-    "consistency": _suite_consistency,
-}
 
 
 def _cmd_verify(args) -> tuple[list[dict], int]:
     _require(args.seed is not None, "verify requires --seed")
     _require(args.workers >= 1, f"--workers must be at least 1, got {args.workers}")
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    results = [_SUITES[name](int(args.seed), args.workers) for name in names]
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    results = [verify.run(name, args.seed, args.workers) for name in names]
     passed = all(r["passed"] for r in results)
     if args.json:
         text = "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in results)
@@ -546,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument("--manifest", action="store_true",
                        help="print a run manifest (with digests) to stderr")
-        p.add_argument("--config", help="flat key=value file supplying default flags")
         if seed:
             p.add_argument("--seed", type=int, help="64-bit seed (required)")
 
@@ -591,9 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="run verification suites and report pass/fail")
-    p.add_argument("--suite", default="all",
-                   choices=("theorem1", "example1", "theorem3", "theorem4",
-                            "theorem5", "consistency", "all"))
+    p.add_argument("--suite", default="all", choices=(*verify.SUITES, "all"))
     p.add_argument("--json", action="store_true",
                    help="one compact JSON object per suite instead of one report")
     p.add_argument("--workers", type=int, default=1,
@@ -615,14 +361,10 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     start = datetime.now(timezone.utc).isoformat()
-    raw = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_parser().parse_args(_expand_config(raw))
+        args = _build_parser().parse_args(argv)
         outputs, code = _DISPATCH[args.command](args)
-    except RecordMleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RecordMleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "manifest", False):

@@ -63,6 +63,7 @@ __all__ = [
     "mse_cdf_hat_series",
     "mse_pdf_hat_series",
     "alpha_n_exponential",
+    "alpha_n_sweep",
     "mse_g_power_series",
     "gamma_ratio",
     "expected_cdf_hat_sweep",
@@ -266,6 +267,14 @@ def _series_value(value: float, terms_used: int, lo: float, hi: float,
     return SeriesValue(value, terms_used, in_bounds, note)
 
 
+def _pow(base: float, exponent: float) -> float:
+    """``base**exponent``, or inf where that Python float power overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def _check_sizes(sizes, least: int, message: str) -> list[int]:
     sizes = [int(size) for size in sizes]
     if any(size < least for size in sizes):
@@ -397,15 +406,15 @@ def mse_pdf_hat_sweep(
     for size, s1, s2 in zip(sizes, s1s, s2s):
         if as_printed:
             value = (
-                (b_val * ap_val) ** 2 * s1
-                - 2.0 * size * ap_val * b_val**2 * math.exp(-ba) * s2
-                - (ap_val * b_val) ** 2 * math.exp(-2.0 * ba)
+                _pow(b_val * ap_val, 2) * s1
+                - 2.0 * size * ap_val * _pow(b_val, 2) * math.exp(-ba) * s2
+                - _pow(ap_val * b_val, 2) * math.exp(-2.0 * ba)
             )
         else:
             f_exact = ap_val * b_val * math.exp(-ba)
             e_pdf = size * b_val * ap_val * s2
-            e_pdf_sq = (size * b_val * ap_val) ** 2 * s1
-            value = e_pdf_sq - 2.0 * f_exact * e_pdf + f_exact**2
+            e_pdf_sq = _pow(size * b_val * ap_val, 2) * s1
+            value = e_pdf_sq - 2.0 * f_exact * e_pdf + _pow(f_exact, 2)
         out.append(_series_value(value, size - 2, 0.0, math.inf,
                                  _large_argument(size, b_val, a_val)))
     return out
@@ -447,26 +456,32 @@ def alpha_n_exponential(theta: float, n: int) -> float:
     if n < 1:
         raise ArgumentError("alpha_n_exponential: n must be at least 1")
     theta = float(theta)
-    if not (theta > 0.0):
-        raise DomainError("alpha_n_exponential: theta must be positive")
+    if not (0.0 < theta < math.inf):
+        raise DomainError("alpha_n_exponential: theta must be positive and finite")
     return theta * theta / n
+
+
+def alpha_n_sweep(theta: float, sizes) -> list[SeriesValue]:
+    """:func:`alpha_n_exponential` at each of the sizes, flagged only if it overflows."""
+    return [_series_value(alpha_n_exponential(theta, n), int(n), 0.0, math.inf, False)
+            for n in sizes]
 
 
 def mse_g_power_sweep(theta: float, sizes, k: float) -> list[SeriesValue]:
     """:func:`mse_g_power_series` at each of the sizes n, in order."""
     sizes = _check_sizes(sizes, 1, "mse_g_power_series: n must be at least 1")
     k = float(k)
-    if not (k > 0.0) or k == 1.0 or math.isnan(k):
+    if not (0.0 < k < math.inf) or k == 1.0:
         raise ArgumentError(
-            "mse_g_power_series: k must be positive and not 1 (g degenerates)"
+            "mse_g_power_series: k must be positive, finite and not 1 (g degenerates)"
         )
     theta = float(theta)
-    if not (theta > 0.0):
-        raise DomainError("mse_g_power_series: theta must be positive")
+    if not (0.0 < theta < math.inf):
+        raise DomainError("mse_g_power_series: theta must be positive and finite")
     log_k = math.log(k)
     es = _gamma_sums([n * theta * log_k for n in sizes]
                      + [2.0 * n * theta * log_k for n in sizes], sizes + sizes, 0)
-    g_true = k**theta
+    g_true = _pow(k, theta)
     hi = math.inf if k > 1.0 else max(g_true, 1.0 - g_true) ** 2
     return [_series_value(e2 - 2.0 * g_true * e1 + g_true * g_true, n, 0.0, hi, k > 1.0)
             for n, e1, e2 in zip(sizes, es, es[len(sizes):])]

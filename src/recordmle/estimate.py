@@ -51,6 +51,8 @@ class EstimateReport:
 
 
 def _theta_from_stat(spec: fam.FamilySpec, size: int, t_stat: float, source: str) -> EstimateReport:
+    if not math.isfinite(t_stat):
+        raise DomainError(f"sufficient statistic T = {t_stat!r} is not finite in float64")
     if not (t_stat > 0.0):
         raise DegenerateSampleError(
             f"sufficient statistic is {t_stat!r}; all mass sits at the lower "
@@ -85,10 +87,16 @@ def _check_support(spec: fam.FamilySpec, values) -> np.ndarray:
 def mle_theta_sample(spec: fam.FamilySpec, xs: Sample) -> EstimateReport:
     """Closed-form MLE from an i.i.d. sample: B_inv(n / sum A(X_i)).
 
-    ``A`` is called once, on the whole sample; the sum is exactly rounded.
+    ``A`` is called once, on the whole sample; the sum is exactly rounded,
+    and inf where it overflows.
     """
     arr = _check_support(spec, xs.values)
-    t_stat = math.fsum(np.asarray(spec.A(arr), dtype=float).tolist())
+    with np.errstate(over="ignore"):
+        a_vals = np.asarray(spec.A(arr), dtype=float).tolist()
+    try:
+        t_stat = math.fsum(a_vals)
+    except OverflowError:
+        t_stat = math.inf
     return _theta_from_stat(spec, xs.n, t_stat, "sample")
 
 
@@ -99,7 +107,8 @@ def mle_theta_records(spec: fam.FamilySpec, rs: RecordSequence) -> EstimateRepor
     the support.
     """
     _check_support(spec, rs.values)
-    t_stat = float(spec.A(rs.values[-1]))
+    with np.errstate(over="ignore"):
+        t_stat = float(spec.A(rs.values[-1]))
     return _theta_from_stat(spec, rs.m, t_stat, "records")
 
 

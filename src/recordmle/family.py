@@ -167,7 +167,9 @@ def point_constants(spec: FamilySpec, theta: float, x: float) -> tuple[float, fl
         raise DomainError(
             f"x={x!r} outside support [{spec.support_lo}, {spec.support_hi})"
         )
-    return float(spec.B(theta)), float(spec.A(x)), float(spec.A_prime(x))
+    # a map that overflows float64 gives inf, which the callers' values carry
+    with np.errstate(over="ignore"):
+        return float(spec.B(theta)), float(spec.A(x)), float(spec.A_prime(x))
 
 
 def _eval_pointwise(x, fn):

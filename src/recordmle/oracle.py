@@ -307,9 +307,12 @@ def _estimator(
     if name == "theta_hat":
         return lambda t: fam.b_inverse(spec, size / t), theta
     if name == "g_hat":
-        if not (k > 0.0) or k == 1.0:
-            raise ArgumentError("MSE_g_hat needs g_k positive and not 1")
-        return lambda t: k ** fam.b_inverse(spec, size / t), k**theta
+        if not (0.0 < k < math.inf) or k == 1.0:
+            raise ArgumentError("MSE_g_hat needs g_k positive, finite and not 1")
+        try:
+            return lambda t: k ** fam.b_inverse(spec, size / t), k**theta
+        except OverflowError:
+            raise DomainError(f"g(theta) = {k!r}**{theta!r} overflows float64") from None
     raise ArgumentError(f"unknown statistic {name!r}")
 
 
@@ -320,8 +323,9 @@ class Target:
     The routes take ``(spec, theta, x, size, k)``; x is read only when
     ``needs_x``, k is the base of the power target. ``series`` gives the
     truncated :class:`closedform.SeriesValue` (None: no series for a general
-    family), and ``sweep`` the same over a list of sizes in one call, with
-    the size list in place of the size; ``exact`` gives the quadrature
+    family), and ``sweep`` the ``table`` rows over a list of sizes in one
+    call, with the size list in place of the size (for alpha-n, the
+    exponential member's exact theta^2 / n); ``exact`` gives the quadrature
     value or raises :class:`DivergenceError`. Both oracles take the plug-in
     ``estimator`` of the ``_estimator`` table (the power target's quadrature
     excepted): the mean of the estimator (``kind`` "mean") or of its squared
@@ -335,7 +339,7 @@ class Target:
     estimator: str
     kind: str
     series: Optional[Callable[..., closedform.SeriesValue]]
-    sweep: Optional[Callable[..., list[closedform.SeriesValue]]]
+    sweep: Callable[..., list[closedform.SeriesValue]]
     exact: Callable[..., float]
 
     @property
@@ -375,7 +379,8 @@ REGISTRY = {t.name: t for t in (
            lambda s, th, x, n, k, **kw: closedform.mse_pdf_hat_series(s, th, x, n, **kw),
            lambda s, th, x, ns, k, **kw: closedform.mse_pdf_hat_sweep(s, th, x, ns, **kw),
            lambda s, th, x, n, k: exact_mse_pdf_hat(s, th, x, n)),
-    Target("MSE_theta_hat", "alpha-n", "theta_hat", "mse", None, None,
+    Target("MSE_theta_hat", "alpha-n", "theta_hat", "mse", None,
+           lambda s, th, x, ns, k: closedform.alpha_n_sweep(th, ns),
            lambda s, th, x, n, k: exact_mse_theta_hat(s, th, n)),
     Target("MSE_g_hat", "mse-g", "g_hat", "mse",
            lambda s, th, x, n, k: closedform.mse_g_power_series(th, n, k),

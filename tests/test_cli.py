@@ -201,6 +201,22 @@ def test_fit_rejects_observation_outside_support(tmp_path, argv):
     assert proc.stderr == "error: observation -2.0 outside support [0.0, inf) of 'exponential'\n"
 
 
+@pytest.mark.parametrize("family,rows,argv", [
+    # the exact sum of A overflows: fsum raises, T is inf
+    ("exponential", "0,1e308\n1,1.5e308\n", ("fit",)),
+    ("exponential", "0,1e308\n1,1.5e308\n", ("eval", "--what", "cdf-hat", "--grid", "0:1:3")),
+    # A(x) = x**2 overflows on one value, on the sample and on the records path
+    ("weibull:alpha=2", "0,1.0\n1,1e200\n", ("fit",)),
+    ("weibull:alpha=2", "0,1.0\n1,1e200\n", ("fit", "--records")),
+])
+def test_fit_overflowing_sufficient_statistic_exit_2(tmp_path, family, rows, argv):
+    data = tmp_path / "big.csv"
+    data.write_text("index,value\n" + rows)
+    proc = run_cli(*argv, "--family", family, "--data", str(data), expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: sufficient statistic T = inf is not finite")
+
+
 def test_fit_missing_file_exit_2(tmp_path):
     proc = run_cli("fit", "--family", "exponential", "--data",
                    str(tmp_path / "nope.csv"), expect=2)
@@ -334,6 +350,35 @@ def test_table_overflowing_series_gives_flagged_row(argv):
     proc = run_cli(*argv)
     assert proc.stderr == ""
     assert proc.stdout.strip().split("\n")[-1].endswith(",false,truncation_suspect")
+
+
+_LOG_UNIFORM = st.one_of(st.floats(-300.0, 300.0).map(lambda e: repr(10.0**e)),
+                        st.just("inf"))
+
+
+@settings(max_examples=150)
+@given(formula=st.sampled_from(["E-cdf", "E-pdf", "MSE-cdf", "MSE-pdf", "alpha-n", "mse-g"]),
+       family=st.sampled_from(["exponential", "lomax", "weibull:alpha=2", "pareto:k=1.5"]),
+       theta=_LOG_UNIFORM, x=_LOG_UNIFORM, k=_LOG_UNIFORM, as_printed=st.booleans(),
+       sizes=st.sampled_from(["3..6", "3,50,700", "2000"]))
+def test_table_exits_2_or_flags_every_non_finite_row(formula, family, theta, x, k,
+                                                      as_printed, sizes):
+    from recordmle.cli import main
+
+    argv = ["table", "--formula", formula, "--theta", theta, "--sizes", sizes]
+    if formula == "mse-g":
+        argv += ["--k", k]
+    elif formula != "alpha-n":
+        argv += ["--family", family, "--x", x]
+        if formula == "MSE-pdf" and as_printed:
+            argv.append("--as-printed")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), argv
+    for row in out.getvalue().splitlines()[1:]:
+        if not math.isfinite(float(row.split(",")[1])):
+            assert row.endswith(",false,truncation_suspect"), (argv, row)
 
 
 @pytest.mark.parametrize(
@@ -493,23 +538,24 @@ def test_manifest_never_touches_stdout():
     assert without.stderr == ""
 
 
-def test_config_file_supplies_defaults(tmp_path):
+def test_config_flag_is_a_usage_error(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family=exponential\ntheta=2.0\nn=6\nseed=11\n")
-    via_cfg = run_cli("simulate", "--config", str(cfg))
-    explicit = run_cli("simulate", "--family", "exponential", "--theta", "2.0",
-                       "--n", "6", "--seed", "11")
-    assert via_cfg.stdout == explicit.stdout
-    # explicit flags win over the file
-    override = run_cli("simulate", "--config", str(cfg), "--seed", "12")
-    assert override.stdout != via_cfg.stdout
+    proc = run_cli("simulate", "--config", str(cfg), expect=2)
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --config" in proc.stderr
 
 
-def test_config_rejects_malformed(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("not a pair\n")
-    run_cli("simulate", "--config", str(cfg), expect=2)
-    run_cli("simulate", "--config", str(tmp_path / "missing.cfg"), expect=2)
+def test_verify_suite_choices_are_the_suites():
+    import argparse
+
+    from recordmle import verify
+    from recordmle.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert list(suite.choices) == [*verify.SUITES, "all"]
 
 
 def test_verify_fast_suite_passes_and_is_deterministic():

@@ -38,6 +38,7 @@ from recordmle.closedform import (
     _gamma_sums,
     _series_log_magnitudes,
     _signed_gamma_series,
+    alpha_n_sweep,
     expected_cdf_hat_sweep,
     expected_pdf_hat_sweep,
     mse_cdf_hat_sweep,
@@ -535,6 +536,35 @@ def test_alpha_n_values():
         alpha_n_exponential(1.0, 0)
     with pytest.raises(DomainError):
         alpha_n_exponential(-1.0, 5)
+
+
+def test_alpha_n_sweep_flags_only_an_overflow():
+    assert alpha_n_sweep(2.0, [8, 1]) == [SeriesValue(0.5, 8, True, ASYMPTOTIC_OK),
+                                          SeriesValue(4.0, 1, True, ASYMPTOTIC_OK)]
+    assert alpha_n_sweep(1e200, [2]) == [SeriesValue(math.inf, 2, False, TRUNCATION_SUSPECT)]
+
+
+@pytest.mark.parametrize("theta", [math.inf, math.nan])
+def test_non_finite_theta_or_k_is_rejected(theta):
+    with pytest.raises(DomainError):
+        alpha_n_exponential(theta, 5)
+    with pytest.raises(DomainError):
+        mse_g_power_series(theta, 5, 0.5)
+    with pytest.raises(ArgumentError):
+        mse_g_power_series(1.0, 5, theta)
+
+
+@pytest.mark.parametrize("series", [
+    # k**theta overflows float64
+    lambda: mse_g_power_series(1.3, 3, 1e300),
+    # B = 1e200 makes (B A')**2 and f(x)**2 overflow
+    lambda: mse_pdf_hat_series(EXP, 1e-200, 1e-300, 3),
+    lambda: mse_pdf_hat_series(EXP, 1e-200, 1e-300, 3, as_printed=True),
+])
+def test_overflowing_power_gives_a_flagged_value(series):
+    sv = series()
+    assert not math.isfinite(sv.value)
+    assert not sv.in_natural_bounds and sv.regime_note == TRUNCATION_SUSPECT
 
 
 def test_mse_g_frozen_values():

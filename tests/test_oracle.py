@@ -432,6 +432,16 @@ def test_mc_estimate_overflowing_mse_has_no_finite_stderr():
     assert not math.isfinite(rep.mc_stderr)
 
 
+def test_mc_power_target_overflow_is_a_typed_error():
+    cfg = ExperimentConfig("weibull:alpha=1", 1.3, (3,), reps=100, seed=1, g_k=1e300)
+    with pytest.raises(DomainError, match=r"g\(theta\) = 1e\+300\*\*1.3 overflows"):
+        mc_estimate(cfg, "MSE_g_hat", "sample")
+    with pytest.raises(DomainError, match="overflows float64"):
+        mc_statistic_array(cfg, "records_direct", "g_hat")
+    with pytest.raises(ArgumentError, match="g_k positive, finite"):
+        mc_statistic_array(dataclasses.replace(cfg, g_k=math.inf), "sample", "g_hat")
+
+
 @pytest.mark.filterwarnings("error")
 def test_mc_records_direct_overflow_is_a_domain_error():
     # lomax A_inv overflows float64 past m = 700, as in the direct sampler
