@@ -344,6 +344,14 @@ def test_table_as_printed_changes_values():
          "--x", "1000", "--sizes", "2000"),
         ("table", "--formula", "mse-g", "--theta", "1", "--k", "1e300", "--sizes",
          "2000"),
+        # a float power that overflows: k**theta, (B A')**2, theta**2
+        ("table", "--formula", "mse-g", "--theta", "1.3", "--k", "1e300", "--sizes",
+         "1..3"),
+        ("table", "--formula", "MSE-pdf", "--family", "exponential", "--theta", "1e-200",
+         "--x", "1e-300", "--sizes", "3..4"),
+        ("table", "--formula", "MSE-pdf", "--family", "exponential", "--theta", "1e-200",
+         "--x", "1e-300", "--sizes", "3..4", "--as-printed"),
+        ("table", "--formula", "alpha-n", "--theta", "1e200", "--sizes", "1..2"),
     ],
 )
 def test_table_overflowing_series_gives_flagged_row(argv):

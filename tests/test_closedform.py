@@ -103,10 +103,21 @@ def test_no_overflow_at_size_500():
 
 
 @pytest.mark.filterwarnings("error")
-def test_overflowing_series_is_flagged_without_a_warning():
-    # at size 2000 and A(x) = 1000 the terms overflow float64; the flagged
-    # nan is the signal, so numpy must not also print an overflow warning
-    sv = expected_cdf_hat_series(EXP, 1.0, 1000.0, 2000)
+@pytest.mark.parametrize("series", [
+    # at size 2000 and A(x) = 1000 the terms overflow float64
+    lambda: expected_cdf_hat_series(EXP, 1.0, 1000.0, 2000),
+    # A(x) = x**2 overflows
+    lambda: expected_cdf_hat_series(make_weibull(2.0), 1.0, 1e200, 3),
+    # k**theta overflows
+    lambda: mse_g_power_series(1.3, 3, 1e300),
+    # B = 1e200 makes (B A')**2 and f(x)**2 overflow
+    lambda: mse_pdf_hat_series(EXP, 1e-200, 1e-300, 3),
+    lambda: mse_pdf_hat_series(EXP, 1e-200, 1e-300, 3, as_printed=True),
+], ids=["E-cdf-terms", "weibull-A", "mse-g-k-power", "MSE-pdf", "MSE-pdf-as-printed"])
+def test_overflowing_series_is_flagged_without_a_warning(series):
+    # the flagged nan is the signal, so numpy must not also print an
+    # overflow warning, and no OverflowError escapes
+    sv = series()
     assert math.isnan(sv.value)
     assert not sv.in_natural_bounds
     assert sv.regime_note == TRUNCATION_SUSPECT
@@ -552,19 +563,6 @@ def test_non_finite_theta_or_k_is_rejected(theta):
         mse_g_power_series(theta, 5, 0.5)
     with pytest.raises(ArgumentError):
         mse_g_power_series(1.0, 5, theta)
-
-
-@pytest.mark.parametrize("series", [
-    # k**theta overflows float64
-    lambda: mse_g_power_series(1.3, 3, 1e300),
-    # B = 1e200 makes (B A')**2 and f(x)**2 overflow
-    lambda: mse_pdf_hat_series(EXP, 1e-200, 1e-300, 3),
-    lambda: mse_pdf_hat_series(EXP, 1e-200, 1e-300, 3, as_printed=True),
-])
-def test_overflowing_power_gives_a_flagged_value(series):
-    sv = series()
-    assert not math.isfinite(sv.value)
-    assert not sv.in_natural_bounds and sv.regime_note == TRUNCATION_SUSPECT
 
 
 def test_mse_g_frozen_values():
