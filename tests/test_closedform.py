@@ -103,9 +103,17 @@ def test_no_overflow_at_size_500():
 
 
 @pytest.mark.filterwarnings("error")
+def test_overflowing_series_is_flagged_without_a_warning():
+    # at size 2000 and A(x) = 1000 the terms overflow float64; the flagged
+    # nan is the signal, so numpy must not also print an overflow warning
+    sv = expected_cdf_hat_series(EXP, 1.0, 1000.0, 2000)
+    assert math.isnan(sv.value)
+    assert not sv.in_natural_bounds
+    assert sv.regime_note == TRUNCATION_SUSPECT
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("series", [
-    # at size 2000 and A(x) = 1000 the terms overflow float64
-    lambda: expected_cdf_hat_series(EXP, 1.0, 1000.0, 2000),
     # A(x) = x**2 overflows
     lambda: expected_cdf_hat_series(make_weibull(2.0), 1.0, 1e200, 3),
     # k**theta overflows
@@ -113,10 +121,10 @@ def test_no_overflow_at_size_500():
     # B = 1e200 makes (B A')**2 and f(x)**2 overflow
     lambda: mse_pdf_hat_series(EXP, 1e-200, 1e-300, 3),
     lambda: mse_pdf_hat_series(EXP, 1e-200, 1e-300, 3, as_printed=True),
-], ids=["E-cdf-terms", "weibull-A", "mse-g-k-power", "MSE-pdf", "MSE-pdf-as-printed"])
-def test_overflowing_series_is_flagged_without_a_warning(series):
-    # the flagged nan is the signal, so numpy must not also print an
-    # overflow warning, and no OverflowError escapes
+], ids=["weibull-A", "mse-g-k-power", "MSE-pdf", "MSE-pdf-as-printed"])
+def test_overflowing_power_is_flagged_without_a_warning(series):
+    # as for overflowing terms: a flagged nan, with no warning and no
+    # OverflowError from a Python float power
     sv = series()
     assert math.isnan(sv.value)
     assert not sv.in_natural_bounds
