@@ -23,6 +23,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -282,6 +283,7 @@ def _cmd_verify(args) -> tuple[list[dict], int]:
 # parser and entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recordmle",

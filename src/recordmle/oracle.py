@@ -11,7 +11,9 @@ this module evaluates two independent ways:
 * a deterministic, replayable Monte Carlo engine that simulates the actual
   estimators (:func:`mc_estimate`). Its ``records_direct`` source draws
   A(R_m) from its Gamma(m, B(theta)) law, one draw per replication, and
-  keeps the record simulator's roundtrip through A_inv and A.
+  keeps the record simulator's roundtrip through A_inv and A. Its
+  ``records`` source walks each block's stream once with the literal
+  sequential sampler (``records._sequential_tops``), a capped sequence NaN.
 
 The four plug-in estimators, theta_hat = B_inv(size/T), g(theta_hat) =
 k**theta_hat, F_hat(x) and f_hat(x), are each stated once, as a map of the
@@ -43,17 +45,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import closedform, family as fam
+from . import closedform, family as fam, records
 from ._quadrature import QuadResult, integrate_unit_interval
 from ._streams import make_generator
 from .errors import (
     ArgumentError,
     DivergenceError,
     DomainError,
-    RecordCapError,
     ReplicationFailureError,
 )
-from .records import sample_records_sequential
+from .records import sample_records_sequential  # noqa: F401, perfbench/tracing.py wraps it
 
 __all__ = [
     "Target",
@@ -425,14 +426,11 @@ def _block_sufficient_stats(
                 f"family {spec.name!r} at m={size}: record R_{size} overflows float64"
             )
         return np.asarray(spec.A(r_m), dtype=float)
-    # "records": the literal sequential sampler
-    out = np.empty(count, dtype=float)
-    for j in range(count):
-        try:
-            rs = sample_records_sequential(spec, theta, size, rng)
-            out[j] = float(spec.A(rs.values[-1]))
-        except RecordCapError:
-            out[j] = math.nan
+    # "records": the literal sequential sampler, one walk over the block's stream
+    r_m = records._sequential_tops(spec, theta, size, rng, count)
+    out = np.full(count, math.nan)
+    done = ~np.isnan(r_m)
+    out[done] = spec.A(r_m[done])
     return out
 
 

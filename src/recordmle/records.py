@@ -12,13 +12,10 @@ until m records have occurred, is kept as :func:`sample_records_sequential`
 for cross-checking; its waiting time is heavy tailed (the index of the m-th
 record has infinite mean already at m = 2), so it runs under a hard cap on
 base draws and raises :class:`~recordmle.errors.RecordCapError` beyond it.
-It finds records on the uniforms: the quantile map is non-decreasing (A is
-increasing), so a base draw can be an upper record only if its uniform is an
-upper record of the uniforms, and only those few uniforms are mapped. The
-uniforms come in fixed logical chunks, each drawn in pieces of at most 2**16;
-the tail of the last chunk is drawn and discarded, so the stream ends where
-whole chunks would leave it, while the memory held stays a few pieces
-however high the cap is.
+It finds records on the uniforms, as the quantile map is non-decreasing (A is
+increasing), and maps only those. Its logical chunks are drawn in pieces of at
+most 2**16 and the tail of the last one is skipped, not drawn, so the stream
+ends where whole chunks would leave it and a few pieces are held at most.
 
 CSV text is read with ``np.loadtxt`` on the ``value`` column; any text it
 refuses, or might read differently from ``float``, goes through the
@@ -29,6 +26,7 @@ from __future__ import annotations
 
 import io
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -126,8 +124,9 @@ def extract_upper_records(xs: Union[Sample, Iterable[float]]) -> RecordSequence:
 
 def _record_positions(arr: np.ndarray, floor: float) -> np.ndarray:
     """Positions where ``arr`` strictly exceeds ``floor`` and every earlier entry."""
-    prior = np.maximum.accumulate(np.concatenate(([floor], arr[:-1])))
-    return np.flatnonzero(arr > prior)
+    prior = np.empty_like(arr)
+    prior[:1], prior[1:] = floor, arr[:-1]
+    return (arr > np.maximum.accumulate(prior)).nonzero()[0]
 
 
 def sample_iid(spec: fam.FamilySpec, theta: float, n: int, rng_stream) -> Sample:
@@ -187,56 +186,97 @@ def sample_records_sequential(
 ) -> RecordSequence:
     """Simulate m upper records by drawing base observations until they occur.
 
-    Uniforms are consumed in growing logical chunks (starting at 256, doubling
-    to 2**20, the last one cut at ``max_draws``), so the layout, and where the
-    stream is left, are deterministic given the stream. Each chunk is drawn
-    in pieces of at most 2**16 uniforms; once the m-th record is found, the
-    rest of its chunk is still drawn, piece by piece, and discarded. The
-    working set is therefore a few pieces, whatever ``max_draws`` is.
-    Records are found on the uniforms: ``quantile`` is non-decreasing, as
-    every ``FamilySpec``'s is because A is increasing, so only the upper
-    records of the uniforms go through it (its domain check runs only on
-    those). A record is a value strictly above every earlier one, so a
-    float64 tie, two uniforms mapped to one value, is not; the result equals
-    mapping every draw and extracting its records. Raises
-    :class:`~recordmle.errors.RecordCapError` if ``max_draws`` base draws do
-    not contain m records. Returned positions are the true base-sequence
-    indices.
+    Uniforms come in chunks of 256 doubling to 2**20 (the last cut at
+    ``max_draws``), drawn in pieces of at most 2**16; the rest of the chunk
+    holding the m-th record is skipped, not drawn (``PCG64.advance``; other
+    bit generators draw and discard it). Only uniform records go through
+    ``quantile``; a tie is no record, so the result equals mapping every draw
+    and extracting its records, with true base-sequence positions. Raises
+    :class:`~recordmle.errors.RecordCapError` past ``max_draws`` draws.
     """
     if m < 1:
         raise ArgumentError("sample_records_sequential: m must be at least 1")
     if max_draws < 1:
         raise ArgumentError("sample_records_sequential: max_draws must be at least 1")
-    gen = as_generator(rng_stream)
-    values: list[float] = []
-    indices: list[int] = []
-    cur_u = -math.inf
-    cur_max = -math.inf
-    offset = 0
-    chunk = _FIRST_CHUNK
-    while len(values) < m:
-        if offset >= max_draws:
-            raise RecordCapError(
-                f"{m} records not reached within {max_draws} base draws "
-                f"({len(values)} found)"
-            )
-        end = min(offset + chunk, max_draws)
-        while offset < end:
-            size = min(_PIECE, end - offset)
-            u = gen.random(size)
-            if len(values) < m:
-                cand = np.flatnonzero(u > cur_u)
-                if cand.size:
-                    cand = cand[_record_positions(u[cand], cur_u)]
-                    x = np.asarray(fam.quantile(spec, theta, u[cand]), dtype=float)
-                    hits = _record_positions(x, cur_max)[: m - len(values)]
-                    values.extend(x[hits].tolist())
-                    indices.extend((offset + cand[hits]).tolist())
-                    cur_u = float(u[cand[-1]])
-                    cur_max = max(cur_max, float(x.max()))
-            offset += size
-        chunk = min(chunk * 2, 1 << 20)
+    to_value = lambda u: fam.quantile(spec, theta, u)
+    values, indices = _walk(to_value, m, as_generator(rng_stream), max_draws)
     return RecordSequence(values=tuple(values), indices=tuple(indices))
+
+
+def _walk(to_value, m, gen, max_draws) -> tuple[list[float], list[int]]:
+    """First m records (values, positions) of ``to_value(u)``, u the uniforms on
+    ``gen``; uniform records are mapped together once they could hold the m-th."""
+    values, indices, wait_u, wait_i = [], [], [], []
+    cur_u = cur_max = -math.inf
+    offset, chunk, bg = 0, _FIRST_CHUNK, gen.bit_generator
+    while len(values) < m:
+        end = min(offset + chunk, max_draws)
+        while offset < end and len(values) < m:
+            u = gen.random(min(_PIECE, end - offset))
+            if u.max() > cur_u:
+                cand = (u > cur_u).nonzero()[0]
+                if cand.size > 1:
+                    cand = cand[_record_positions(u[cand], cur_u)]
+                wait_u += u[cand].tolist()
+                wait_i += (offset + cand).tolist()
+                cur_u = wait_u[-1]
+            offset += u.size
+            if wait_u and (len(values) + len(wait_u) >= m or offset >= max_draws):
+                x = np.asarray(to_value(wait_u), dtype=float)
+                hits = _record_positions(x, cur_max)[: m - len(values)]
+                values += x[hits].tolist()
+                indices += [wait_i[h] for h in hits]
+                cur_max, wait_u, wait_i = max(cur_max, float(x.max())), [], []
+        if len(values) < m and offset >= max_draws:
+            raise RecordCapError(f"{m} records not reached within {max_draws} base draws "
+                                 f"({len(values)} found)")
+        if end > offset and isinstance(bg, np.random.PCG64) and not bg.state["has_uint32"]:
+            bg.advance(end - offset)
+        else:  # advance would drop a spare 32-bit draw; such tails are drawn
+            for size in range(end - offset, 0, -_PIECE):
+                gen.random(min(_PIECE, size))
+        chunk = min(chunk * 2, 1 << 20)
+    return values, indices
+
+
+def _sequential_tops(spec: fam.FamilySpec, theta: float, m: int, gen: np.random.Generator,
+                     count: int, max_draws: int = _SEQUENTIAL_CAP) -> np.ndarray:
+    """R_m of ``count`` sequential samples drawn in turn from a PCG64 ``gen`` (NaN
+    if capped), using the stream as that many sampler calls do. A running maximum
+    over k first chunks finds their uniform records; the first row short of m is
+    walked after a restore. A tie among their quantiles redoes the block on values."""
+    bg = gen.bit_generator
+    start = bg.state
+    first_m = np.full((count, m), math.nan)
+    width, done, k = min(_FIRST_CHUNK, max_draws), 0, 1
+    while done < count:
+        k = min(k, count - done, max(1, _PIECE // width))
+        saved = bg.state
+        u = gen.random((k, width))
+        rec = np.ones(u.shape, dtype=bool)  # rec: u is above all before it in its row
+        np.greater(u[:, 1:], np.maximum.accumulate(u, axis=1)[:, :-1], out=rec[:, 1:])
+        short = rec.sum(axis=1) < m
+        full = int(short.argmax()) if short.any() else k
+        flat = rec[:full].ravel().nonzero()[0]  # positions of the records, row by row
+        head = flat.searchsorted(np.arange(full) * width)
+        first_m[done:done + full] = u.ravel()[flat[head[:, None] + np.arange(m)]]
+        if full < k:
+            bg.state = saved
+            bg.advance(full * width)
+            with suppress(RecordCapError):
+                first_m[done + full] = _walk(np.asarray, m, gen, max_draws)[0]
+        done += min(full + 1, k)
+        k = k * 2 if full == k else max(1, k // 2)
+    out, kept = np.full(count, math.nan), ~np.isnan(first_m[:, 0])
+    x = np.asarray(fam.quantile(spec, theta, first_m[kept]), dtype=float)
+    if ((x[:, 0] > -math.inf) & (x[:, 1:] > x[:, :-1]).all(axis=1)).all():
+        out[kept] = x[:, m - 1]
+        return out
+    bg.state = start
+    for j in range(count):
+        with suppress(RecordCapError):
+            out[j] = sample_records_sequential(spec, theta, m, gen, max_draws).values[-1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recordmle import oracle as oracle_mod
+from recordmle import family as family_mod, oracle as oracle_mod, records as records_mod
+from recordmle._streams import make_generator
 from recordmle import (
     ArgumentError,
     DomainError,
@@ -47,6 +48,7 @@ from recordmle import (
     pdf,
     quantile,
     resolve_family,
+    sample_records_sequential,
 )
 
 EXP = make_exponential()
@@ -359,27 +361,116 @@ def test_sequential_records_source_agrees():
     assert ks_two_sample(direct, seq) < 0.02
 
 
+def _referee_tops(spec, theta, m, gen, count, max_draws):
+    """The MC `records` source one replication at a time: one
+    sample_records_sequential call per replication on one shared generator."""
+    out = np.empty(count)
+    for j in range(count):
+        try:
+            out[j] = sample_records_sequential(spec, theta, m, gen, max_draws).values[-1]
+        except RecordCapError:
+            out[j] = math.nan
+    return out
+
+
+def _assert_tops_match_referee(spec, m, seed, count, max_draws, theta=1.3):
+    ours, referee = make_generator(seed, m), make_generator(seed, m)
+    got = records_mod._sequential_tops(spec, theta, m, ours, count, max_draws)
+    want = _referee_tops(spec, theta, m, referee, count, max_draws)
+    case = (spec.name, m, seed, count, max_draws)
+    assert got.tobytes() == want.tobytes(), case
+    assert np.array_equal(np.isnan(got), np.isnan(want)), case
+    assert ours.bit_generator.state == referee.bit_generator.state, case
+    return got
+
+
+_NO_A_INV = dataclasses.replace(make_lomax(), A_inv=None)
+
+
+@pytest.mark.parametrize("spec, count", [
+    (make_exponential(), 300), (make_lomax(), 300), (make_weibull(2.0), 300),
+    (make_weibull(0.5), 300), (make_pareto(1.5), 300), (_NO_A_INV, 40),
+], ids=["exponential", "lomax", "weibull-2", "weibull-0.5", "pareto", "lomax-no-A_inv"])
+def test_sequential_tops_match_per_replication_referee_at_cap_700(spec, count):
+    # a cap of 700 draws ends many sequences inside their second chunk, so
+    # capped rows sit between rows that a batch accepts
+    capped = 0
+    for m in range(1, 13):
+        capped += np.isnan(_assert_tops_match_referee(spec, m, m, count, 700)).sum()
+    assert capped > 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_sequential_tops_match_per_replication_referee_around_batch_sizes(m):
+    # batches double from 1 to 256 rows; these counts end a block on either
+    # side of a batch boundary, at the default cap
+    for count in (1, 2, 3, 255, 256, 257, 600):
+        _assert_tops_match_referee(make_weibull(2.0), m, count, count, 10_000_000)
+    # a cap below 256 cuts every first chunk short
+    _assert_tops_match_referee(make_exponential(), m, 1, 300, 200)
+
+
+def test_block_records_source_maps_A_once_bit_for_bit():
+    # A mapped once over the block's R_m equals A on each replication's R_m
+    for fam_name, theta, m in (("weibull:alpha=2", 1.3, 3), ("lomax", 0.8, 5),
+                               ("pareto:k=1.5", 2.0, 4)):
+        spec = resolve_family(fam_name)
+        got = oracle_mod._block_sufficient_stats(spec, theta, m, 11, 0, 500, "records")
+        r_m = _referee_tops(spec, theta, m, make_generator(11, 0), 500, 10_000_000)
+        want = np.array([math.nan if math.isnan(v) else float(spec.A(v)) for v in r_m])
+        assert got.tobytes() == want.tobytes(), fam_name
+
+
+def test_sequential_tops_match_referee_in_pieces_of_100(monkeypatch):
+    # a piece smaller than a first chunk: batches of one row, every chunk split
+    monkeypatch.setattr(records_mod, "_PIECE", 100)
+    for m in range(1, 9):
+        _assert_tops_match_referee(make_exponential(), m, 7, 200, 20_000)
+        _assert_tops_match_referee(make_exponential(), m, 8, 200, 700)
+
+
+def test_sequential_tops_match_referee_on_value_ties(monkeypatch):
+    # a quantile rounded to 3 significant digits maps distinct uniform
+    # records to one value, so the block is sampled again on the values
+    exact = family_mod.quantile
+
+    def rounded(spec, theta, u):
+        x = np.asarray(exact(spec, theta, u), dtype=float)
+        return np.array([float(f"{v:.3g}") for v in x.ravel()]).reshape(x.shape)
+
+    spec = make_weibull(10.0)
+    unrounded = {m: records_mod._sequential_tops(spec, 1.0, m, make_generator(5, m), 30,
+                                                 20_000) for m in range(2, 9)}
+    monkeypatch.setattr(family_mod, "quantile", rounded)
+    moved = 0
+    for m in range(2, 9):
+        got = _assert_tops_match_referee(spec, m, 5, 30, 20_000, theta=1.0)
+        moved += got.tobytes() != unrounded[m].tobytes()
+    assert moved > 0
+
+
 def test_records_source_counts_only_capped_sequences_as_failures(monkeypatch):
-    real = oracle_mod.sample_records_sequential
-    calls = [0]
-
-    def capped_twice(*args, **kwargs):
-        calls[0] += 1
-        if calls[0] in (3, 7):
-            raise RecordCapError("cap reached")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(oracle_mod, "sample_records_sequential", capped_twice)
-    rep = mc_estimate(_cfg(reps=200, sizes=(4,)), "MSE_theta_hat", "records")
-    assert rep.failures == 2
+    # a cap of 1000 draws caps about one sequence in ten at m = 4: exactly
+    # those replications are NaN, and they are the failures counted
+    cfg = _cfg(reps=200, sizes=(4,))
+    real = records_mod._sequential_tops
+    monkeypatch.setattr(records_mod, "_sequential_tops",
+                        lambda *args: real(*args, max_draws=1000))
+    want = _referee_tops(EXP, 1.0, 4, make_generator(cfg.seed, 0), 200, 1000)
+    capped = int(np.isnan(want).sum())
+    assert 2 < capped < 200
+    ys = mc_statistic_array(cfg, "records", "theta_hat")
+    assert np.array_equal(np.isnan(ys), np.isnan(want))
+    with pytest.raises(ReplicationFailureError, match=f"^{capped} of 200 replications"):
+        mc_estimate(cfg, "MSE_theta_hat", "records")
 
     def broken(*args, **kwargs):
         raise ZeroDivisionError("a bug, not a capped sequence")
 
     # any other error is a defect and must surface, not become a NaN
-    monkeypatch.setattr(oracle_mod, "sample_records_sequential", broken)
+    monkeypatch.setattr(records_mod, "_walk", broken)
     with pytest.raises(ZeroDivisionError):
-        mc_estimate(_cfg(reps=200, sizes=(4,)), "MSE_theta_hat", "records")
+        mc_estimate(cfg, "MSE_theta_hat", "records")
 
 
 def test_records_source_fails_typed_at_m10():

@@ -274,6 +274,43 @@ def test_records_sequential_shared_stream_matches_literal_definition(monkeypatch
         assert ours.random() == literal.random()
 
 
+@pytest.mark.parametrize("n", [0, 1, 255, 65_536, 1_000_003])
+def test_pcg64_advance_skips_as_many_uniforms(n):
+    # the sequential sampler skips chunk tails with advance: one step per
+    # float64 draw, as numpy documents
+    jumped, drawn = make_generator(4, 0), make_generator(4, 0)
+    jumped.bit_generator.advance(n)
+    assert jumped.random() == drawn.random(n + 1)[-1]
+    assert jumped.bit_generator.state == drawn.bit_generator.state
+
+
+def _mt19937(seed):
+    return np.random.Generator(np.random.MT19937(seed))
+
+
+def _pcg64_with_spare_uint32(seed):
+    # a 32-bit draw leaves half of a 64-bit output buffered, which advance drops
+    gen = make_generator(seed, 0)
+    gen.integers(0, 2**32, dtype=np.uint32)
+    return gen
+
+
+@pytest.mark.parametrize("make", [_mt19937, _pcg64_with_spare_uint32])
+def test_records_sequential_draws_and_discards_tails_it_cannot_jump(make, monkeypatch):
+    # without a jump, the tail of the last chunk is drawn and discarded, so
+    # each call still leaves the stream, spare 32-bit draw included, where the
+    # literal rule would; pieces of 100 leave a tail in almost every call
+    monkeypatch.setattr(records, "_PIECE", 100)
+    spec = make_exponential()
+    ours, literal = make(3), make(3)
+    for _ in range(100):
+        got = _outcome(_sequential, spec, 1.0, 6, ours, 100_000)
+        want = _outcome(_literal_sequential, spec, 1.0, 6, literal, 100_000)
+        assert got == want
+    assert ours.integers(0, 2**32, dtype=np.uint32) == literal.integers(0, 2**32, dtype=np.uint32)
+    assert ours.random() == literal.random()
+
+
 def test_records_sequential_strict_on_value_ties(monkeypatch):
     # a quantile rounded to 3 significant digits stays non-decreasing but maps
     # distinct uniforms to one value: the strict test on values, not the
