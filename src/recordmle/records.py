@@ -203,26 +203,25 @@ def sample_records_sequential(
     return RecordSequence(values=tuple(values), indices=tuple(indices))
 
 
-def _walk(to_value, m, gen, max_draws) -> tuple[list[float], list[int]]:
-    """First m records (values, positions) of ``to_value(u)``, u the uniforms on
-    ``gen``; uniform records are mapped together once they could hold the m-th."""
-    values, indices, wait_u, wait_i = [], [], [], []
-    cur_u = cur_max = -math.inf
-    offset, chunk, bg = 0, _FIRST_CHUNK, gen.bit_generator
+def _walk(to_value, m, gen, max_draws, head=None) -> tuple[list[float], list[int]]:
+    """Values and positions of the first m records of ``to_value(u)``, u the uniforms
+    on ``gen``, after ``head``, the uniform records of a first chunk already drawn."""
+    values, indices, (wait_u, wait_i), bg = [], [], head or ([], []), gen.bit_generator
+    cur_u, cur_max = wait_u[-1] if wait_u else -math.inf, -math.inf
+    offset, chunk = (min(_FIRST_CHUNK, max_draws), 2 * _FIRST_CHUNK) if head else (0, _FIRST_CHUNK)
     while len(values) < m:
         end = min(offset + chunk, max_draws)
         while offset < end and len(values) < m:
             u = gen.random(min(_PIECE, end - offset))
             if u.max() > cur_u:
                 cand = (u > cur_u).nonzero()[0]
-                if cand.size > 1:
-                    cand = cand[_record_positions(u[cand], cur_u)]
+                cand = cand[_record_positions(u[cand], cur_u)]
                 wait_u += u[cand].tolist()
                 wait_i += (offset + cand).tolist()
                 cur_u = wait_u[-1]
             offset += u.size
             if wait_u and (len(values) + len(wait_u) >= m or offset >= max_draws):
-                x = np.asarray(to_value(wait_u), dtype=float)
+                x = np.asarray(to_value(wait_u), dtype=float)  # all that could reach m
                 hits = _record_positions(x, cur_max)[: m - len(values)]
                 values += x[hits].tolist()
                 indices += [wait_i[h] for h in hits]
@@ -241,10 +240,10 @@ def _walk(to_value, m, gen, max_draws) -> tuple[list[float], list[int]]:
 
 def _sequential_tops(spec: fam.FamilySpec, theta: float, m: int, gen: np.random.Generator,
                      count: int, max_draws: int = _SEQUENTIAL_CAP) -> np.ndarray:
-    """R_m of ``count`` sequential samples drawn in turn from a PCG64 ``gen`` (NaN
-    if capped), using the stream as that many sampler calls do. A running maximum
-    over k first chunks finds their uniform records; the first row short of m is
-    walked after a restore. A tie among their quantiles redoes the block on values."""
+    """R_m of ``count`` sequential samples drawn in turn from a PCG64 ``gen`` (NaN if
+    capped), using the stream as that many sampler calls do: a running maximum over
+    k first chunks finds their uniform records, a row short of m is walked on, and
+    a tie among their quantiles redoes the block on the values."""
     bg = gen.bit_generator
     start = bg.state
     first_m = np.full((count, m), math.nan)
@@ -260,11 +259,12 @@ def _sequential_tops(spec: fam.FamilySpec, theta: float, m: int, gen: np.random.
         flat = rec[:full].ravel().nonzero()[0]  # positions of the records, row by row
         head = flat.searchsorted(np.arange(full) * width)
         first_m[done:done + full] = u.ravel()[flat[head[:, None] + np.arange(m)]]
-        if full < k:
+        if full < k:  # walk that row on from the end of its first chunk
             bg.state = saved
-            bg.advance(full * width)
+            bg.advance((full + 1) * width)
             with suppress(RecordCapError):
-                first_m[done + full] = _walk(np.asarray, m, gen, max_draws)[0]
+                first_m[done + full] = _walk(np.asarray, m, gen, max_draws, (
+                    u[full, rec[full]].tolist(), rec[full].nonzero()[0].tolist()))[0]
         done += min(full + 1, k)
         k = k * 2 if full == k else max(1, k // 2)
     out, kept = np.full(count, math.nan), ~np.isnan(first_m[:, 0])
