@@ -221,7 +221,7 @@ def _walk(to_value, m, gen, max_draws, head=None) -> tuple[list[float], list[int
                 cur_u = wait_u[-1]
             offset += u.size
             if wait_u and (len(values) + len(wait_u) >= m or offset >= max_draws):
-                x = np.asarray(to_value(wait_u), dtype=float)  # all that could reach m
+                x = np.asarray(to_value(wait_u), dtype=float)  # once they could hold m
                 hits = _record_positions(x, cur_max)[: m - len(values)]
                 values += x[hits].tolist()
                 indices += [wait_i[h] for h in hits]
@@ -257,8 +257,8 @@ def _sequential_tops(spec: fam.FamilySpec, theta: float, m: int, gen: np.random.
         short = rec.sum(axis=1) < m
         full = int(short.argmax()) if short.any() else k
         flat = rec[:full].ravel().nonzero()[0]  # positions of the records, row by row
-        head = flat.searchsorted(np.arange(full) * width)
-        first_m[done:done + full] = u.ravel()[flat[head[:, None] + np.arange(m)]]
+        starts = flat.searchsorted(np.arange(full) * width)  # each row's first record
+        first_m[done:done + full] = u.ravel()[flat[starts[:, None] + np.arange(m)]]
         if full < k:  # walk that row on from the end of its first chunk
             bg.state = saved
             bg.advance((full + 1) * width)
