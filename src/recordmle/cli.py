@@ -95,18 +95,9 @@ def _fnv1a64(data: bytes) -> str:
     return f"{h:016x}"
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _csv(header: list[str], rows: list[tuple]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], lines: list[str]) -> str:
+    """The header and the already formatted ``lines``, one per row."""
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def _emit(text: str, args) -> list[dict]:
@@ -238,8 +229,8 @@ def _cmd_eval(args) -> tuple[list[dict], int]:
         _require(args.data is not None, f"{args.what} requires --data")
         theta = _fit_report(args).theta_hat
     values = (fam.pdf if args.what.startswith("pdf") else fam.cdf)(spec, theta, xs)
-    rows = [(float(x), float(v)) for x, v in zip(xs, values)]
-    return _emit(_csv(["x", "value"], rows), args), 0
+    lines = [f"{float(x)!r},{float(v)!r}" for x, v in zip(xs, values)]
+    return _emit(_csv(["x", "value"], lines), args), 0
 
 
 _TABLE_TARGETS = {t.formula: t for t in oracle.REGISTRY.values()}
@@ -260,9 +251,10 @@ def _cmd_table(args) -> tuple[list[dict], int]:
         _require(args.family is None and args.x is None,
                  f"--family and --x do not apply to --formula {args.formula}")
     options = {"as_printed": True} if args.as_printed else {}
-    rows = [(size, sv.value, sv.in_natural_bounds, sv.regime_note) for size, sv in
-            zip(sizes, target.sweep(spec, args.theta, args.x, sizes, args.k, **options))]
-    return _emit(_csv(["size", "value", "in_bounds", "regime"], rows), args), 0
+    lines = [f"{size},{sv.value!r},{'true' if sv.in_natural_bounds else 'false'},"
+             f"{sv.regime_note}" for size, sv in
+             zip(sizes, target.sweep(spec, args.theta, args.x, sizes, args.k, **options))]
+    return _emit(_csv(["size", "value", "in_bounds", "regime"], lines), args), 0
 
 
 def _cmd_verify(args) -> tuple[list[dict], int]:

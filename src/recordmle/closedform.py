@@ -24,16 +24,19 @@ over sizes; each table formula is such a sweep, with one evaluation of the
 point constants, and the one-size functions are sweeps of one size. The
 log magnitudes of the terms come from a table of log-gamma at the integers
 (built with ``math.lgamma`` and grown to the largest size seen), every term
-is sign * exp(log magnitude), and ``math.fsum`` adds the terms correctly
-rounded. Rows go in blocks of at most 2^13 terms, each over a head of its
-first 256 terms, widened twofold while a check fails: the log magnitude
-of term i rises, falls and rises again, each at most once, because its
-step from i to i + 1 is convex in i, so a head that ends falling, with its
-last term and the row's last term both below -800, holds every term that
-does not underflow. The cut lies 55 below the -745.13 where ``np.exp``
-returns 0.0, which covers the rounding of the logs. Terms that underflow
-to 0.0, most of them at large sizes, are skipped before ``math.fsum``,
-which is exact since adding +-0.0 never changes an exact sum; an
+is sign * exp(log magnitude), and each row's terms are added correctly
+rounded. A block of 8 rows or more is added at once by a pairwise TwoSum
+tree whose rounding certificate (Ogita, Rump and Oishi, 2005) proves that
+result for nearly every row; ``math.fsum`` adds the rows it leaves, and
+every row of a smaller block. Rows go in blocks of at most 2^13 terms,
+each over a head of its first 256 terms, widened twofold while a check
+fails: the log magnitude of term i rises, falls and rises again, each at
+most once, because its step from i to i + 1 is convex in i, so a head
+that ends falling, with its last term and the row's last term both below
+-800, holds every term that does not underflow. The cut lies 55 below the
+-745.13 where ``np.exp`` returns 0.0, which covers the rounding of the
+logs. Terms that underflow to 0.0, most of them at large sizes, are left
+out, which is exact since adding +-0.0 never changes an exact sum; an
 overflowing series is run at full width and falls back to the IEEE sum of
 all its terms. Naive factorial evaluation overflows beyond size of about
 170; the log-space route stays finite for all practical sizes.
@@ -109,9 +112,17 @@ _LGAMMA_INT = np.array([math.inf])
 _HEAD = 256
 _WIDEN = 2
 _BLOCK_TERMS = 1 << 13
+# a block with at least _CERTIFY_ROWS rows to sum goes through
+# _certified_sums first; below that, one math.fsum per row is the faster of
+# the two exact routes
+_CERTIFY_ROWS = 8
 # np.exp returns 0.0 below -745.13; the 55 between covers the rounding of
 # the log magnitudes, a few ulp of parts far below 1e9
 _CUT = -800.0
+# unit roundoff of float64, and the bound on sum |term| below which no
+# partial sum of a certified row overflows
+_U = 2.0**-53
+_SAFE_ABS_SUM = 2.0**1000
 
 
 def _lgamma_table(entries: int) -> np.ndarray:
@@ -150,32 +161,74 @@ def _log_magnitude_block(lg: np.ndarray, log_cs, tops, offset: int,
     return logs
 
 
-def _series_log_magnitudes(c: float, size: int, offset: int) -> np.ndarray:
-    """Log magnitudes of c^i Gamma(size-i-offset) / (Gamma(i+1) Gamma(size)).
+def _two_sum(a: np.ndarray, b: np.ndarray, error: np.ndarray) -> np.ndarray:
+    """fl(a + b); its rounding error, a + b - fl(a + b) exactly, goes to ``error`` (TwoSum)."""
+    s = a + b
+    z = s - a
+    np.subtract(s, z, out=error)
+    np.subtract(a, error, out=error)
+    np.subtract(b, z, out=z)
+    error += z
+    return s
 
-    One entry per term i < size - offset; only i = 0 when c is 0, since
-    every later term vanishes.
+
+def _certified_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums of ``terms``, and the mask of rows where each is the correctly rounded sum.
+
+    A pairwise TwoSum tree over a row padded to a power-of-two width w
+    leaves one float s and w - 1 errors e with S = s + sum e exactly. With
+    E = fl(sum e) and r, rho = TwoSum(s, E), |S - r| <= |rho| + |sum e - E|,
+    and in any summation order |sum e - E| <= gamma_w sum |e|, gamma_w =
+    w u / (1 - w u), which 2 gamma_w fl(sum |e|) bounds (Ogita, Rump and
+    Oishi, 2005). If |rho| plus that bound lies below half the smaller gap
+    from r to its two neighbours, r is the float nearest S: the correctly
+    rounded sum, which ``math.fsum`` returns. A row is certified only if
+    also r != 0, leaving the sign of a zero sum to ``math.fsum`` (half the
+    gap at 0 rounds to 0, so the gap test refuses it as well), and its sum
+    of |term| is below 2^1000, so that no partial sum, here or in
+    ``math.fsum``, overflows. Ties and near-ties fail the bound and are left
+    to the caller.
     """
-    top = size - offset
-    return _log_magnitude_block(_lgamma_table(size + 1), [_log_abs(c)], [top], offset,
-                                top if c else 1)[0]
+    width = terms.shape[1]
+    full = 1 << (width - 1).bit_length()
+    # lanes down axis 0, so that each half of a level is one contiguous slice
+    level = np.zeros((full, len(terms)))
+    level[:width] = terms.T
+    # the errors of the level of half-width h go to lanes h..2h - 1; lane 0 stays 0
+    errors = np.empty((full, len(terms)))
+    errors[0] = 0.0
+    half = full
+    while half > 1:
+        half //= 2
+        level = _two_sum(level[:half], level[half : 2 * half], errors[half : 2 * half])
+    rho = np.empty(len(terms))
+    near = _two_sum(level[0], errors.sum(axis=0), rho)
+    gamma = full * _U / (1 - full * _U)
+    bound = np.abs(rho) + 2 * gamma * np.abs(errors, out=errors).sum(axis=0)
+    gap = np.minimum(near - np.nextafter(near, -np.inf), np.nextafter(near, np.inf) - near)
+    sure = ((bound < 0.5 * gap) & (near != 0.0)
+            & (np.abs(terms).sum(axis=1) < _SAFE_ABS_SUM))
+    return sure, near
 
 
 def _gamma_sums(cs, sizes, offset: int) -> list[float]:
     """Sum of c^i Gamma(size-i-offset) / (Gamma(i+1) Gamma(size)) over i < size - offset.
 
     One sum per (c, size) row; every size must exceed ``offset``. Terms are
-    sign(c)^i * exp(log magnitude), added correctly rounded by
-    ``math.fsum``, so the alternating cancellation costs only the rounding
-    of the terms themselves. Terms that underflow to 0.0 are dropped after
-    the sign flip and before ``math.fsum``: adding +-0.0 leaves its exact,
-    and so its correctly rounded, sum unchanged, and an inf term still
-    makes it raise. Zeros do re-split its partials, which can move an
-    intermediate-overflow error for mixed-sign sums at the float64 limit;
-    the tests check the series there bit for bit. When the terms or their
-    sum overflow float64, the IEEE sum (nan or +-inf) of the full signed
-    row is returned, without a floating-point warning, for the caller's
-    flags to catch.
+    sign(c)^i * exp(log magnitude), added correctly rounded, so the
+    alternating cancellation costs only the rounding of the terms
+    themselves. A block with at least ``_CERTIFY_ROWS`` rows to sum goes
+    through :func:`_certified_sums` first: the correctly rounded sum is
+    unique, so a row it certifies has the value ``math.fsum`` gives, and
+    only the other rows reach ``math.fsum``. Terms that underflow to 0.0
+    are dropped after the sign flip and before ``math.fsum``: adding +-0.0
+    leaves its exact, and so its correctly rounded, sum unchanged, and an
+    inf term still makes it raise. Zeros do re-split its partials, which
+    can move an intermediate-overflow error for mixed-sign sums at the
+    float64 limit; the tests check the series there bit for bit. When the
+    terms or their sum overflow float64, the IEEE sum (nan or +-inf) of the
+    full signed row is returned, without a floating-point warning, for the
+    caller's flags to catch.
 
     Rows go in blocks of at most ``_BLOCK_TERMS`` terms, and a row is
     summed over a head of its first terms when the rest provably underflow.
@@ -218,14 +271,24 @@ def _gamma_sums(cs, sizes, offset: int) -> list[float]:
         terms = np.exp(logs, out=logs)
         np.putmask(terms, zero, 0.0)
         terms[:, 1::2] *= signs[rows][:, None]
-        nonzero = terms != 0.0
+        slow = ~retry
+        if len(rows) >= _CERTIFY_ROWS and np.count_nonzero(slow) >= _CERTIFY_ROWS:
+            some = slice(None) if slow.all() else slow
+            sure, values = _certified_sums(terms[some])
+            sums[rows[some][sure]] = values[sure]
+            slow[some] = ~sure
+        rest = np.flatnonzero(slow)
+        if not rest.size:
+            return rows[retry]
+        left = terms[rest]
+        nonzero = left != 0.0
         kept = nonzero.sum(axis=1)
         ends = np.cumsum(kept)
-        begins, ends, packed = (ends - kept).tolist(), ends.tolist(), terms[nonzero]
-        for k in np.flatnonzero(~retry).tolist():
+        begins, ends, packed = (ends - kept).tolist(), ends.tolist(), left[nonzero]
+        for j, k in enumerate(rest.tolist()):
             try:
                 # one row's Python floats at a time, not a block's
-                sums[rows[k]] = math.fsum(packed[begins[k] : ends[k]].tolist())
+                sums[rows[k]] = math.fsum(packed[begins[j] : ends[j]].tolist())
             except (OverflowError, ValueError):
                 if count[k] > width:  # the IEEE sum needs every term
                     widths[rows[k]] = count[k]

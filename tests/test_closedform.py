@@ -35,8 +35,11 @@ from recordmle.closedform import (
     TRUNCATION_SUSPECT,
     _CUT,
     _HEAD,
+    _certified_sums,
     _gamma_sums,
-    _series_log_magnitudes,
+    _lgamma_table,
+    _log_abs,
+    _log_magnitude_block,
     _signed_gamma_series,
     alpha_n_sweep,
     expected_cdf_hat_sweep,
@@ -47,6 +50,18 @@ from recordmle.closedform import (
 )
 
 EXP = make_exponential()
+
+
+def _series_log_magnitudes(c: float, size: int, offset: int) -> np.ndarray:
+    """Log magnitudes of c^i Gamma(size-i-offset) / (Gamma(i+1) Gamma(size)).
+
+    The kernel's block of log magnitudes read one row wide: one entry per
+    term i < size - offset, only i = 0 when c is 0, since every later term
+    vanishes.
+    """
+    top = size - offset
+    return _log_magnitude_block(_lgamma_table(size + 1), [_log_abs(c)], [top], offset,
+                                top if c else 1)[0]
 
 
 # frozen outputs at size 200, exponential theta=1, x=1; the asymptotic
@@ -514,6 +529,133 @@ def test_sweep_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _check_certified(rows):
+    """Each row that _certified_sums certifies has math.fsum's value, sign of zero
+    included; the rows go in one block, zero-padded to the longest."""
+    block = np.zeros((len(rows), max(map(len, rows))))
+    for k, row in enumerate(rows):
+        block[k, : len(row)] = row
+    with np.errstate(over="ignore", invalid="ignore"):
+        sure, values = _certified_sums(block)
+    for k, row in enumerate(rows):
+        if sure[k]:
+            # a certified row cannot overflow, so math.fsum may not raise
+            assert values[k].hex() == math.fsum(row).hex(), row
+    return sure
+
+
+@st.composite
+def _row_to_certify(draw):
+    """A row that strains the certificate, its terms shuffled among up to 40 zeros."""
+    kind = draw(st.sampled_from(["near_tie", "power_of_two", "cancel", "series",
+                                 "subnormal", "zero", "special", "guard"]))
+    shift = st.sampled_from([0.0, 1.0, -1.0])
+    j = st.integers(min_value=1, max_value=120)
+    if kind == "near_tie":
+        # b plus half its ulp, an exact tie, moved by 2^-j of that half ulp
+        e = draw(st.integers(min_value=-960, max_value=960))
+        b = math.ldexp(float(draw(st.integers(min_value=2**52, max_value=2**53 - 1))), e - 52)
+        half = math.ldexp(draw(st.sampled_from([-1.0, 1.0])), e - 53)
+        row = [b, half, draw(shift) * math.ldexp(half, -draw(j))]
+    elif kind == "power_of_two":
+        # +-2^e and the midpoint below it (half the gap above) or above it
+        e = draw(st.integers(min_value=-960, max_value=960))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        below = draw(st.booleans())
+        half = -sign * math.ldexp(1.0, e - 54) if below else sign * math.ldexp(1.0, e - 53)
+        row = [sign * math.ldexp(1.0, e), half, draw(shift) * math.ldexp(half, -draw(j))]
+    elif kind == "cancel":
+        # sum |x| / |S| up to about 1e30 and beyond
+        scale = 10.0 ** draw(st.integers(min_value=0, max_value=30))
+        xs = [x * scale for x in draw(st.lists(st.floats(min_value=-1e6, max_value=1e6),
+                                               min_size=1, max_size=8))]
+        row = xs + [-math.fsum(xs), draw(st.floats(min_value=-1.0, max_value=1.0))]
+    elif kind == "series":
+        # the kernel's rows: c^i / i! with the sign of c^i
+        c = draw(st.floats(min_value=-60.0, max_value=60.0).filter(bool))
+        row = [math.copysign(1.0, c) ** i * math.exp(i * math.log(abs(c)) - math.lgamma(i + 1))
+               for i in range(draw(st.integers(min_value=1, max_value=200)))]
+    elif kind == "subnormal":
+        # subnormal terms, with sums in, near and above the subnormal range
+        row = [math.ldexp(float(n), -1074) for n in
+               draw(st.lists(st.integers(min_value=-2**20, max_value=2**20), min_size=1,
+                             max_size=6))]
+        row.append(draw(shift) * math.ldexp(1.0, draw(st.integers(min_value=-1024,
+                                                                  max_value=-1018))))
+    elif kind == "zero":
+        row = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=5))
+        x = draw(st.floats(allow_nan=False, allow_infinity=False))
+        row += [x, -x]
+    elif kind == "special":
+        row = draw(st.lists(st.floats(min_value=-1e3, max_value=1e3), max_size=5))
+        row += draw(st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), min_size=1,
+                             max_size=2))
+    else:
+        # sum |x| of 1.75 to 3.5 times 2^top: just under and over the 2^1000 guard at
+        # top 999, and past the float64 limit, where math.fsum can overflow, at 1023
+        top = draw(st.sampled_from([999, 1023]))
+        m = st.floats(min_value=1.0, max_value=2.0, exclude_max=True)
+        row = [math.ldexp(draw(m), top), math.ldexp(draw(m), top - 1),
+               -math.ldexp(draw(m), top - 2)]
+    row += [0.0] * draw(st.integers(min_value=0, max_value=40))
+    return draw(st.permutations(row))
+
+
+@given(st.lists(_row_to_certify(), min_size=1, max_size=6))
+@settings(max_examples=400)
+def test_certified_sums_are_fsum_bit_for_bit(rows):
+    sure = _check_certified(rows)
+    for row, certified in zip(rows, sure.tolist()):
+        if certified:
+            assert 0.0 < sum(map(abs, row)) < 2.0**1000, row
+
+
+# a hair off a midpoint, by less than fl(sum e) keeps: 1 + 2^-53 + 2^-160 rounds
+# to 1 + 2^-52, and 1 - 2^-54 - 2^-170 (under the power of two 1, where the gap
+# below is half the gap above) to 1 - 2^-53; fl(s + E) gives 1 for both
+_OFF_A_MIDPOINT = [[1.0, 2.0**-53, 2.0**-160], [1.0, -(2.0**-54), -(2.0**-170)],
+                   [-1.0, -(2.0**-53), -(2.0**-160)], [1.0, -(2.0**-54), 2.0**-170],
+                   [0.0, 0.0], [1.0, -1.0], [-0.0]]
+# rows whose sum needs E, with lanes i and i + 2 paired first: the tree's s
+# is 1, 3 and -1.5, an ulp from the sum
+_NEED_E = [[1.0, 2.0**-53, 2.0**-60], [3.0, 2.0**-52, 2.0**-70],
+           [1.0, 2.0**-53, 2.0**-55, -2.5]]
+
+
+def test_certified_sums_refuse_rows_off_a_midpoint_and_keep_E():
+    assert not _check_certified(_OFF_A_MIDPOINT).any()
+    assert _check_certified(_NEED_E).all()
+
+
+def test_table_sweeps_certify_nearly_every_row(monkeypatch):
+    # the series-table benchmark's four sweeps at a few theta, B A and k: at
+    # least 99% of their rows must skip math.fsum, so that a change that sends
+    # rows back to the per-row path fails here and not only in the benchmark
+    from recordmle import closedform
+
+    counts = {"rows": 0, "fsum": 0}
+    gamma_sums, fsum = closedform._gamma_sums, math.fsum
+
+    def counting_gamma_sums(cs, sizes, offset):
+        counts["rows"] += len(cs)
+        return gamma_sums(cs, sizes, offset)
+
+    def counting_fsum(xs):
+        counts["fsum"] += 1
+        return fsum(xs)
+
+    monkeypatch.setattr(closedform, "_gamma_sums", counting_gamma_sums)
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    lomax, weibull = make_lomax(), make_weibull(2.0)
+    for theta, ba, k in ((0.5, 0.3, 0.3), (1.0, 0.9, 0.5), (2.0, 1.5, 0.8), (1.3, 1.2, 0.6)):
+        expected_cdf_hat_sweep(EXP, theta, ba * theta, range(2, 2001))
+        mse_cdf_hat_sweep(lomax, theta, math.expm1(ba * theta), range(2, 801))
+        mse_pdf_hat_sweep(weibull, theta, math.sqrt(ba / theta), range(3, 801))
+        mse_g_power_sweep(theta, range(1, 801), k)
+    assert counts["rows"] == 4 * (1999 + 2 * 799 + 2 * 798 + 2 * 800)
+    assert counts["fsum"] <= 0.01 * counts["rows"], counts
 
 
 def _same_series_value(a, b):
