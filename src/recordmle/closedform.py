@@ -312,11 +312,6 @@ def _gamma_sums(cs, sizes, offset: int) -> list[float]:
     return sums.tolist()
 
 
-def _signed_gamma_series(c: float, size: int, offset: int) -> float:
-    """:func:`_gamma_sums` of the one row (c, size)."""
-    return _gamma_sums([c], [size], offset)[0]
-
-
 def _large_argument(size: int, b_val: float, a_val: float) -> bool:
     # hard truncation of the alternating expansion is unreliable once the
     # expansion argument reaches half the term budget
@@ -370,7 +365,7 @@ def w_alpha_series(
     if alpha < 0.0 or math.isnan(alpha):
         raise ArgumentError("w_alpha_series: alpha must be nonnegative")
     b_val, a_val, _ = fam.point_constants(spec, theta, x)
-    value = _signed_gamma_series(-alpha * m * b_val * a_val, m, 0)
+    value = _gamma_sums([-alpha * m * b_val * a_val], [m], 0)[0]
     return _series_value(value, m, 0.0, 1.0, _large_argument(m, b_val, a_val))
 
 

@@ -181,6 +181,21 @@ def _eval_pointwise(x, fn):
     return np.asarray(out, dtype=float)
 
 
+def _on_support(spec: FamilySpec, theta: float, x, name: str, core, past_end: float):
+    """``core(B(theta), A(x), x)`` on the support, 0 below it, ``past_end`` at or past its end."""
+    b_val = float(spec.B(_check_theta(spec, theta)))
+
+    def _eval(arr):
+        if np.isnan(arr).any():
+            raise DomainError(f"{name}: NaN evaluation point")
+        inside = (arr >= spec.support_lo) & (arr < spec.support_hi)
+        safe = np.where(inside, arr, spec.support_lo)
+        values = core(b_val, np.asarray(spec.A(safe), dtype=float), safe)
+        return np.where(arr < spec.support_lo, 0.0, np.where(inside, values, past_end))
+
+    return _eval_pointwise(x, _eval)
+
+
 def cdf(spec: FamilySpec, theta: float, x):
     """Exact distribution function ``1 - exp(-B(theta) A(x))``.
 
@@ -188,19 +203,7 @@ def cdf(spec: FamilySpec, theta: float, x):
     above the upper endpoint to 1; within the support the map is
     nondecreasing in ``x``. Accepts scalars or arrays.
     """
-    theta = _check_theta(spec, theta)
-    b_val = float(spec.B(theta))
-
-    def _cdf(arr):
-        if np.isnan(arr).any():
-            raise DomainError("cdf: NaN evaluation point")
-        inside = (arr >= spec.support_lo) & (arr < spec.support_hi)
-        safe = np.where(inside, arr, spec.support_lo)
-        core = -np.expm1(-b_val * np.asarray(spec.A(safe), dtype=float))
-        out = np.where(arr < spec.support_lo, 0.0, np.where(inside, core, 1.0))
-        return out
-
-    return _eval_pointwise(x, _cdf)
+    return _on_support(spec, theta, x, "cdf", lambda b, a, _: -np.expm1(-b * a), 1.0)
 
 
 def pdf(spec: FamilySpec, theta: float, x):
@@ -209,20 +212,8 @@ def pdf(spec: FamilySpec, theta: float, x):
     The lower endpoint is treated as closed (A(a) = 0, so
     ``pdf(a) = A'(a) B(theta)``); points outside ``[a, b)`` have density 0.
     """
-    theta = _check_theta(spec, theta)
-    b_val = float(spec.B(theta))
-
-    def _pdf(arr):
-        if np.isnan(arr).any():
-            raise DomainError("pdf: NaN evaluation point")
-        inside = (arr >= spec.support_lo) & (arr < spec.support_hi)
-        safe = np.where(inside, arr, spec.support_lo)
-        a_val = np.asarray(spec.A(safe), dtype=float)
-        ap_val = np.asarray(spec.A_prime(safe), dtype=float)
-        core = ap_val * b_val * np.exp(-a_val * b_val)
-        return np.where(inside, core, 0.0)
-
-    return _eval_pointwise(x, _pdf)
+    return _on_support(spec, theta, x, "pdf", lambda b, a, safe: np.asarray(
+        spec.A_prime(safe), dtype=float) * b * np.exp(-a * b), 0.0)
 
 
 def quantile(spec: FamilySpec, theta: float, u):

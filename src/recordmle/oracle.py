@@ -20,8 +20,9 @@ k**theta_hat, F_hat(x) and f_hat(x), are each stated once, as a map of the
 T array and its true value (``_estimator``). That one table serves both
 oracles: the quadrature integrates a target's map, or its squared error,
 on whole arrays of T, and the Monte Carlo engine applies the same map to
-simulated T; the raw statistic arrays and the consistency curve use it
-too. Only the power target's quadrature keeps its own map, in the rate
+simulated T, through the one private route (``_mc_stat_array``) that all
+three MC entry points take and that checks size and theta before any draw.
+Only the power target's quadrature keeps its own map, in the rate
 parametrization B(theta) = theta (:func:`exact_mse_g_power`).
 
 Neither route shares code with the series evaluation, so agreement between
@@ -233,7 +234,9 @@ def exact_mse_g_power(theta: float, n: int, k: float) -> QuadResult:
 class ExperimentConfig:
     """One reproducible experiment: family, parameter, design, seed.
 
-    ``family`` is a registry string (``name[:key=value,...]``). ``g_k`` is
+    ``family`` is a registry string (``name[:key=value,...]``). ``sizes``
+    holds exactly one positive size (callers sweep sizes by looping) and
+    ``x_grid`` at most one point, both checked at construction. ``g_k`` is
     the base of the power function target and only read for MSE_g_hat.
     """
 
@@ -248,10 +251,10 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         object.__setattr__(self, "x_grid", tuple(float(x) for x in self.x_grid))
-        if not self.sizes:
-            raise ArgumentError("ExperimentConfig: sizes must be nonempty")
-        if any(s < 1 for s in self.sizes):
-            raise ArgumentError("ExperimentConfig: sizes must be positive")
+        if len(self.sizes) != 1 or self.sizes[0] < 1:
+            raise ArgumentError("ExperimentConfig: sizes must hold exactly one positive size")
+        if len(self.x_grid) > 1:
+            raise ArgumentError("ExperimentConfig: x_grid must hold at most one point")
         if int(self.reps) < 100:
             raise ArgumentError("ExperimentConfig: reps must be at least 100")
         object.__setattr__(self, "reps", int(self.reps))
@@ -348,21 +351,14 @@ class Target:
         return self.estimator in _POINT_ESTIMATORS
 
 
-def _exact_mse_g(spec, theta, x, size, k) -> float:
-    """Quadrature of the power target, which is that of the rate parametrization.
-
-    The series and quadrature of this target take B(theta) = theta, so they
-    referee the MC only for such a family. For one with B(theta) != theta
-    the MC still simulates that family's theta_hat: exponential (B =
-    1/theta), theta = 1.3, n = 12, k = 0.5, 1e5 replications, seed 5 gives
-    0.010854 +- 4.7e-5 against quadrature 0.011030. Which referee is right
-    there is a spec decision.
-    """
-    return _require_convergent(exact_mse_g_power(theta, size, k), "exact_mse_g_power")
-
-
 # MSE_theta_hat has a closed form only family by family; its table formula
-# alpha-n is the exponential member's theta^2 / n
+# alpha-n is the exponential member's theta^2 / n. The series and quadrature
+# of MSE_g_hat take the rate parametrization B(theta) = theta, so they
+# referee the MC only for such a family. For one with B(theta) != theta the
+# MC still simulates that family's theta_hat: exponential (B = 1/theta),
+# theta = 1.3, n = 12, k = 0.5, 1e5 replications, seed 5 gives 0.010854
+# +- 4.7e-5 against quadrature 0.011030. Which referee is right there is a
+# spec decision.
 REGISTRY = {t.name: t for t in (
     Target("E_cdf_hat", "E-cdf", "cdf_hat", "mean",
            lambda s, th, x, n, k: closedform.expected_cdf_hat_series(s, th, x, n),
@@ -386,7 +382,8 @@ REGISTRY = {t.name: t for t in (
     Target("MSE_g_hat", "mse-g", "g_hat", "mse",
            lambda s, th, x, n, k: closedform.mse_g_power_series(th, n, k),
            lambda s, th, x, ns, k: closedform.mse_g_power_sweep(th, ns, k),
-           _exact_mse_g),
+           lambda s, th, x, n, k: _require_convergent(exact_mse_g_power(th, n, k),
+                                                      "exact_mse_g_power")),
 )}
 TARGETS = tuple(REGISTRY)
 
@@ -437,26 +434,32 @@ def _block_sufficient_stats(
 def _mc_stat_array(
     spec: fam.FamilySpec,
     theta: float,
+    x: Optional[float],
     size: int,
+    k: Optional[float],
+    statistic: str,
     reps: int,
     seed: int,
     source: str,
-    transform: Callable[[np.ndarray], np.ndarray],
     workers: int = 1,
-) -> np.ndarray:
-    """Per-replication statistic array, deterministic in (seed, reps).
+) -> tuple[np.ndarray, float]:
+    """Per-replication values of the ``_estimator`` map ``statistic``, and its true value.
 
-    ``transform`` maps the block's T array to the statistic of interest.
-    Blocks are computed possibly in parallel but written in block order into
-    one array, so the output never depends on the worker count.
+    Every argument is checked before any draw. Blocks are computed possibly
+    in parallel but written in block order into one array, so the output,
+    deterministic in (seed, reps), never depends on the worker count.
     """
     if source not in SOURCES:
         raise ArgumentError(f"unknown estimator source {source!r}; known: {SOURCES}")
+    if size < 1:
+        raise ArgumentError(f"sizes must be positive, got {size}")
     if reps < 1:
         raise ArgumentError("reps must be positive")
     workers = int(workers)
     if workers < 1:
         raise ArgumentError(f"workers must be at least 1, got {workers}")
+    theta = fam._check_theta(spec, theta)
+    transform, truth = _estimator(statistic, spec, theta, x, size, k)
     blocks = range((reps + _BLOCK - 1) // _BLOCK)
     out = np.empty(reps, dtype=float)
 
@@ -471,7 +474,13 @@ def _mc_stat_array(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_block, blocks))
-    return out
+    return out, truth
+
+
+def _config_args(config: ExperimentConfig) -> tuple:
+    """``(spec, theta, x, size, k)`` of ``config``, the routes' argument order."""
+    return (config.resolve(), config.theta, config.x_grid[0] if config.x_grid else None,
+            config.sizes[0], config.g_k)
 
 
 def mc_estimate(
@@ -480,29 +489,21 @@ def mc_estimate(
     """Monte Carlo estimate of one moment target, with the series and
     quadrature values alongside for comparison.
 
-    The configuration must carry exactly one size (callers sweep sizes by
-    looping; keeping one size per report keeps the provenance of every
-    number unambiguous). Replications with non-finite statistics are
-    counted as failures; more than 1% failing aborts the run. On the
-    ``records_direct`` source a top record that overflows float64 raises
-    :class:`~recordmle.errors.DomainError` instead.
+    Replications with non-finite statistics are counted as failures; more
+    than 1% failing aborts the run. On the ``records_direct`` source a top
+    record that overflows float64 raises
+    :class:`~recordmle.errors.DomainError` instead, as does theta outside
+    the family's domain on every source.
     """
     if target not in TARGETS:
         raise ArgumentError(f"unknown target {target!r}; known: {TARGETS}")
-    if len(config.sizes) != 1:
-        raise ArgumentError(
-            "mc_estimate: config.sizes must hold exactly one size per call"
-        )
     entry = REGISTRY[target]
-    spec = config.resolve()
-    size = config.sizes[0]
-    x = config.x_grid[0] if len(config.x_grid) == 1 else None
-    args = (spec, config.theta, x, size, config.g_k)
-    estimate, truth = _estimator(entry.estimator, *args)
-    transform = estimate if entry.kind == "mean" else (lambda t: estimate(t) - truth)
-    ys = _mc_stat_array(
-        spec, config.theta, size, config.reps, config.seed, source, transform, workers
-    )
+    args = _config_args(config)
+    ys, truth = _mc_stat_array(*args, entry.estimator, config.reps, config.seed, source,
+                               workers)
+    if entry.kind == "mse":
+        with np.errstate(all="ignore"):
+            ys -= truth  # a non-finite error is a failure, counted below
     finite = np.isfinite(ys)
     failures = int(config.reps - int(finite.sum()))
     if failures > _MAX_FAILURE_FRACTION * config.reps:
@@ -577,15 +578,8 @@ def mc_statistic_array(
     Used by the distributional-identity and consistency checks, which need
     whole empirical laws rather than moments.
     """
-    if len(config.sizes) != 1:
-        raise ArgumentError("mc_statistic_array: exactly one size per call")
-    spec = config.resolve()
-    size = config.sizes[0]
-    x = config.x_grid[0] if len(config.x_grid) == 1 else None
-    transform, _ = _estimator(statistic, spec, config.theta, x, size, config.g_k)
-    return _mc_stat_array(
-        spec, config.theta, size, config.reps, config.seed, source, transform, workers
-    )
+    return _mc_stat_array(*_config_args(config), statistic, config.reps, config.seed,
+                          source, workers)[0]
 
 
 def consistency_curve(
@@ -609,21 +603,10 @@ def consistency_curve(
     sizes = [int(s) for s in sizes]
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ArgumentError("consistency_curve: sizes must be strictly increasing")
-    if sizes[0] < 1:
-        raise ArgumentError("consistency_curve: sizes must be positive")
     out: list[tuple[int, float]] = []
     for idx, size in enumerate(sizes):
-        transform, _ = _estimator("theta_hat", spec, theta, None, size, None)
-        theta_hats = _mc_stat_array(
-            spec,
-            theta,
-            size,
-            int(reps),
-            int(seed) + (idx << 32),
-            source,
-            transform,
-            workers,
-        )
+        theta_hats, _ = _mc_stat_array(spec, theta, None, size, None, "theta_hat",
+                                       int(reps), int(seed) + (idx << 32), source, workers)
         good = theta_hats[np.isfinite(theta_hats)]
         p = float(np.mean(np.abs(good - float(theta)) > eps))
         out.append((size, p))

@@ -40,7 +40,6 @@ from recordmle.closedform import (
     _lgamma_table,
     _log_abs,
     _log_magnitude_block,
-    _signed_gamma_series,
     alpha_n_sweep,
     expected_cdf_hat_sweep,
     expected_pdf_hat_sweep,
@@ -295,7 +294,7 @@ def test_core_series_matches_high_precision(c, size, offset):
     count = size - offset
     if count < 1:
         return
-    got = _signed_gamma_series(c, size, offset)
+    got = _gamma_sums([c], [size], offset)[0]
     want, scale = _mp_reference(c, count, size, offset)
     # error budget scales with the sum of magnitudes (cancellation-aware)
     assert abs(got - want) <= 1e-13 * max(scale, 1e-300)
@@ -335,7 +334,7 @@ def test_core_series_skips_only_zeros_bit_for_bit():
         cs += [alpha * size * math.log(k) for alpha in (1, 2) for k in (0.5, math.e)]
         for offset in range(min(3, size)):
             for c in cs:
-                got = _signed_gamma_series(c, size, offset)
+                got = _gamma_sums([c], [size], offset)[0]
                 want = _sum_of_all_terms(c, size, offset)
                 assert got.hex() == want.hex(), (c, size, offset)
 
@@ -358,7 +357,7 @@ def test_core_series_near_float64_limit_bit_for_bit(size, sign):
             c = sign * size * lo
             assert _series_log_magnitudes(c, size, offset).max() > peak - 1e-6
             with np.errstate(over="ignore"):
-                got = _signed_gamma_series(c, size, offset)
+                got = _gamma_sums([c], [size], offset)[0]
             assert got.hex() == _sum_of_all_terms(c, size, offset).hex(), (c, offset)
 
 
@@ -375,7 +374,7 @@ def test_core_series_at_table_sizes(size, offset, ba):
     # the sum of the float64 terms, within the small-size test's budget
     with mpmath.workdps(60):
         float_sum = float(mpmath.fsum(mpmath.mpf(t) for t in terms.tolist()))
-    assert abs(_signed_gamma_series(c, size, offset) - float_sum) <= 1e-13 * scale
+    assert abs(_gamma_sums([c], [size], offset)[0] - float_sum) <= 1e-13 * scale
     # each term: its log magnitude is i log|c| + lgamma(size-i-offset)
     # - lgamma(i+1) - lgamma(size), with parts near lgamma(size) (1.3e4 at
     # size 2000) that math.lgamma gives to a few ulp, so the absolute

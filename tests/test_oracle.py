@@ -10,6 +10,7 @@ import inspect
 import math
 import sys
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -592,6 +593,43 @@ def test_experiment_config_validation():
     cfg = ExperimentConfig(family="lomax", theta=2.0, sizes=[3], reps=150.0)
     assert cfg.sizes == (3,) and cfg.reps == 150
     assert cfg.resolve().name == "lomax"
+
+
+def test_experiment_config_holds_one_size_and_at_most_one_point():
+    with pytest.raises(ArgumentError, match="exactly one positive size"):
+        ExperimentConfig("exponential", 1.0, (5, 10), reps=100)
+    with pytest.raises(ArgumentError, match="at most one point"):
+        ExperimentConfig("exponential", 1.0, (5,), (0.3, 0.9), reps=100)
+    # a target that reads no x once ran with both points and ignored them
+    with pytest.raises(ArgumentError, match="at most one point"):
+        mc_estimate(_cfg(x_grid=(0.3, 0.9)), "MSE_theta_hat", "sample")
+    # one x on a target that reads none is accepted and changes no bit
+    with_x = mc_estimate(_cfg(x_grid=(0.3,)), "MSE_theta_hat", "sample")
+    bare = mc_estimate(_cfg(), "MSE_theta_hat", "sample")
+    assert (with_x.mc_value, with_x.mc_stderr) == (bare.mc_value, bare.mc_stderr)
+    assert np.array_equal(mc_statistic_array(_cfg(x_grid=(0.3,)), "records_direct"),
+                          mc_statistic_array(_cfg(), "records_direct"))
+
+
+@pytest.mark.parametrize("theta", [-1.0, 0.0, math.nan])
+def test_mc_checks_theta_on_every_source_before_any_draw(theta):
+    # records_direct once drew for any theta: negative estimates at -1, zeros
+    # after a divide-by-zero warning at 0, a record overflow named at nan
+    cfg = ExperimentConfig("exponential", theta, (5,), reps=100, seed=1)
+    calls = {
+        "mc_statistic_array": lambda source: mc_statistic_array(cfg, source),
+        "mc_estimate": lambda source: mc_estimate(cfg, "MSE_theta_hat", source),
+        "consistency_curve": lambda source: consistency_curve(EXP, theta, 0.2, (5, 20),
+                                                              200, 1, source),
+    }
+    want = f"theta={theta!r} outside parameter domain (0.0, inf) of family 'exponential'"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in calls.items():
+            for source in oracle_mod.SOURCES:
+                with pytest.raises(DomainError) as info:
+                    call(source)
+                assert str(info.value) == want, (name, source)
 
 
 # ---------------------------------------------------------------------------
