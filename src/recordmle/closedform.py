@@ -525,17 +525,21 @@ def alpha_n_sweep(theta: float, sizes) -> list[SeriesValue]:
             for n in sizes]
 
 
-def mse_g_power_sweep(theta: float, sizes, k: float) -> list[SeriesValue]:
-    """:func:`mse_g_power_series` at each of the sizes n, in order."""
-    sizes = _check_sizes(sizes, 1, "mse_g_power_series: n must be at least 1")
+def _power_args(theta: float, sizes, k: float, who: str) -> tuple[float, list[int], float]:
+    """(theta, sizes, k) of the power target g(theta) = k**theta, checked for ``who``."""
+    sizes = _check_sizes(sizes, 1, f"{who}: n must be at least 1")
     k = float(k)
     if not (0.0 < k < math.inf) or k == 1.0:
-        raise ArgumentError(
-            "mse_g_power_series: k must be positive, finite and not 1 (g degenerates)"
-        )
+        raise ArgumentError(f"{who}: k must be positive, finite and not 1 (g degenerates)")
     theta = float(theta)
     if not (0.0 < theta < math.inf):
-        raise DomainError("mse_g_power_series: theta must be positive and finite")
+        raise DomainError(f"{who}: theta must be positive and finite")
+    return theta, sizes, k
+
+
+def mse_g_power_sweep(theta: float, sizes, k: float) -> list[SeriesValue]:
+    """:func:`mse_g_power_series` at each of the sizes n, in order."""
+    theta, sizes, k = _power_args(theta, sizes, k, "mse_g_power_series")
     log_k = math.log(k)
     es = _gamma_sums([n * theta * log_k for n in sizes]
                      + [2.0 * n * theta * log_k for n in sizes], sizes + sizes, 0)

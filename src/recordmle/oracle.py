@@ -13,7 +13,8 @@ this module evaluates two independent ways:
   A(R_m) from its Gamma(m, B(theta)) law, one draw per replication, and
   keeps the record simulator's roundtrip through A_inv and A. Its
   ``records`` source walks each block's stream once with the literal
-  sequential sampler (``records._sequential_tops``), a capped sequence NaN.
+  sequential sampler (``records._sequential_tops``), a capped sequence NaN. On
+  every source a draw or record that overflows raises ``records._observations``' error.
 
 The four plug-in estimators, theta_hat = B_inv(size/T), g(theta_hat) =
 k**theta_hat, F_hat(x) and f_hat(x), are each stated once, as a map of the
@@ -210,15 +211,7 @@ def exact_mse_g_power(theta: float, n: int, k: float) -> QuadResult:
     without evaluating the integrand. Counterpart of
     :func:`recordmle.closedform.mse_g_power_series`.
     """
-    n = int(n)
-    if n < 1:
-        raise ArgumentError("exact_mse_g_power: n must be at least 1")
-    k = float(k)
-    if not (k > 0.0) or k == 1.0:
-        raise ArgumentError("exact_mse_g_power: k must be positive and not 1")
-    theta = float(theta)
-    if not (theta > 0.0):
-        raise DomainError("exact_mse_g_power: theta must be positive")
+    theta, (n,), k = closedform._power_args(theta, [n], k, "exact_mse_g_power")
     if k > 1.0:
         return QuadResult(math.inf, math.inf, True, 0, None)
     log_k = math.log(k)
@@ -407,21 +400,17 @@ def _block_sufficient_stats(
     never depends on how blocks are distributed over workers.
     """
     rng = make_generator(seed, block_index)
-    b_val = float(spec.B(theta))
-    if source == "sample":
-        u = rng.random((count, size))
-        xs = fam.quantile(spec, theta, u)
-        return np.sum(np.asarray(spec.A(xs), dtype=float), axis=1)
+    if source == "sample":  # the draws are scanned only where a T is not finite
+        return records._observations(spec, theta, rng.random((count, size)), f"theta={theta!r}",
+            lambda head: f"draw {block_index * _BLOCK * size + head.size - 1}",
+            keep=lambda xs: np.sum(np.asarray(spec.A(xs), dtype=float), axis=1))
     if source == "records_direct":
         # records enter the statistic only through A(R_m), the sum of m
         # exponential gaps of rate B: draw it from its Gamma(m, B) law, then
         # keep the simulator's roundtrip through A_inv rather than shortcutting
-        with np.errstate(over="ignore"):
-            r_m = fam.a_inverse(spec, rng.standard_gamma(float(size), count) / b_val)
-        if not np.isfinite(r_m).all():
-            raise DomainError(
-                f"family {spec.name!r} at m={size}: record R_{size} overflows float64"
-            )
+        r_m = records._observations(
+            spec, theta, rng.standard_gamma(float(size), count) / float(spec.B(theta)),
+            f"m={size}", lambda head: f"record R_{size}", a_values=True)
         return np.asarray(spec.A(r_m), dtype=float)
     # "records": the literal sequential sampler, one walk over the block's stream
     r_m = records._sequential_tops(spec, theta, size, rng, count)
@@ -490,10 +479,9 @@ def mc_estimate(
     quadrature values alongside for comparison.
 
     Replications with non-finite statistics are counted as failures; more
-    than 1% failing aborts the run. On the ``records_direct`` source a top
-    record that overflows float64 raises
-    :class:`~recordmle.errors.DomainError` instead, as does theta outside
-    the family's domain on every source.
+    than 1% failing aborts the run. On every source a draw or record that
+    overflows float64 raises :class:`~recordmle.errors.DomainError` instead,
+    naming it, as does theta outside the family's domain.
     """
     if target not in TARGETS:
         raise ArgumentError(f"unknown target {target!r}; known: {TARGETS}")

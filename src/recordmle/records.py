@@ -15,7 +15,8 @@ base draws and raises :class:`~recordmle.errors.RecordCapError` beyond it.
 It finds records on the uniforms, as the quantile map is non-decreasing (A is
 increasing), and maps only those. Its logical chunks are drawn in pieces of at
 most 2**16 and the tail of the last one is skipped, not drawn, so the stream
-ends where whole chunks would leave it and a few pieces are held at most.
+ends where whole chunks would leave it and a few pieces are held at most. Each
+sampler checks theta first; ``_observations`` names the draw or record that overflows.
 
 CSV text is read with ``np.loadtxt`` on the ``value`` column; any text it
 refuses, or might read differently from ``float``, goes through the
@@ -129,6 +130,22 @@ def _record_positions(arr: np.ndarray, floor: float) -> np.ndarray:
     return (arr > np.maximum.accumulate(prior)).nonzero()[0]
 
 
+def _observations(spec, theta, draws, where, label, a_values=False, keep=None):
+    """Map ``draws`` to observations x, uniforms through ``fam.quantile`` or A-values
+    through A_inv, and return ``keep(x)`` (x by default). Where that is not finite, the
+    first x that is not finite overflows float64: a DomainError names ``label(head)``, head
+    the x up to it in C order, unless the label is None (an overflow that is no error)."""
+    with np.errstate(over="ignore"):
+        x = np.asarray(fam.a_inverse(spec, draws) if a_values
+                       else fam.quantile(spec, theta, draws), dtype=float)
+    kept = x if keep is None else keep(x)
+    if not np.isfinite(kept).all() and not np.isfinite(x).all():
+        name = label(x.ravel()[: np.flatnonzero(~np.isfinite(x))[0] + 1])
+        if name is not None:
+            raise DomainError(f"family {spec.name!r} at {where}: {name} overflows float64")
+    return kept
+
+
 def sample_iid(spec: fam.FamilySpec, theta: float, n: int, rng_stream) -> Sample:
     """Draw an i.i.d. sample of size n by inverse-CDF transform.
 
@@ -138,15 +155,9 @@ def sample_iid(spec: fam.FamilySpec, theta: float, n: int, rng_stream) -> Sample
     """
     if n < 1:
         raise ArgumentError("sample_iid: n must be at least 1")
-    gen = as_generator(rng_stream)
-    u = gen.random(int(n))
-    with np.errstate(over="ignore"):
-        x = np.asarray(fam.quantile(spec, theta, u), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise DomainError(
-            f"family {spec.name!r} at theta={float(theta)!r}: draw {bad[0]} overflows float64"
-        )
+    theta = fam._check_theta(spec, theta)
+    u = as_generator(rng_stream).random(int(n))
+    x = _observations(spec, theta, u, f"theta={theta!r}", lambda head: f"draw {head.size - 1}")
     return Sample(values=tuple(x.tolist()))
 
 
@@ -163,17 +174,9 @@ def sample_records_direct(
     """
     if m < 1:
         raise ArgumentError("sample_records_direct: m must be at least 1")
-    gen = as_generator(rng_stream)
-    b_val = float(spec.B(float(theta)))
-    e = -np.log1p(-gen.random(int(m))) / b_val
-    s = np.cumsum(e)
-    with np.errstate(over="ignore"):
-        r = np.asarray(fam.a_inverse(spec, s), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(r))
-    if bad.size:
-        raise DomainError(
-            f"family {spec.name!r} at m={m}: record R_{bad[0] + 1} overflows float64"
-        )
+    b_val = float(spec.B(fam._check_theta(spec, theta)))
+    s = np.cumsum(-np.log1p(-as_generator(rng_stream).random(int(m))) / b_val)
+    r = _observations(spec, theta, s, f"m={m}", lambda head: f"record R_{head.size}", a_values=True)
     return RecordSequence(values=tuple(r.tolist()), indices=tuple(range(int(m))))
 
 
@@ -192,20 +195,21 @@ def sample_records_sequential(
     bit generators draw and discard it). Only uniform records go through
     ``quantile``; a tie is no record, so the result equals mapping every draw
     and extracting its records, with true base-sequence positions. Raises
-    :class:`~recordmle.errors.RecordCapError` past ``max_draws`` draws.
+    :class:`~recordmle.errors.DomainError` once one of its m records overflows
+    float64, and :class:`~recordmle.errors.RecordCapError` past ``max_draws``.
     """
     if m < 1:
         raise ArgumentError("sample_records_sequential: m must be at least 1")
     if max_draws < 1:
         raise ArgumentError("sample_records_sequential: max_draws must be at least 1")
-    to_value = lambda u: fam.quantile(spec, theta, u)
-    values, indices = _walk(to_value, m, as_generator(rng_stream), max_draws)
+    theta = fam._check_theta(spec, theta)
+    values, indices = _walk(spec, theta, m, as_generator(rng_stream), max_draws)
     return RecordSequence(values=tuple(values), indices=tuple(indices))
 
 
-def _walk(to_value, m, gen, max_draws, head=None) -> tuple[list[float], list[int]]:
-    """Values and positions of the first m records of ``to_value(u)``, u the uniforms
-    on ``gen``, after ``head``, the uniform records of a first chunk already drawn."""
+def _walk(spec, theta, m, gen, max_draws, head=None) -> tuple[list[float], list[int]]:
+    """Values and positions of the first m records of ``spec``'s observations (of the
+    uniforms if spec is None) on ``gen`` after ``head``, the uniform records of a first chunk."""
     values, indices, (wait_u, wait_i), bg = [], [], head or ([], []), gen.bit_generator
     cur_u, cur_max = wait_u[-1] if wait_u else -math.inf, -math.inf
     offset, chunk = (min(_FIRST_CHUNK, max_draws), 2 * _FIRST_CHUNK) if head else (0, _FIRST_CHUNK)
@@ -221,7 +225,10 @@ def _walk(to_value, m, gen, max_draws, head=None) -> tuple[list[float], list[int
                 cur_u = wait_u[-1]
             offset += u.size
             if wait_u and (len(values) + len(wait_u) >= m or offset >= max_draws):
-                x = np.asarray(to_value(wait_u), dtype=float)  # once they could hold m
+                # once they could hold m; an overflow past the m-th record is no error
+                rank = lambda head: len(values) + _record_positions(head, cur_max).size
+                x = np.asarray(wait_u) if spec is None else _observations(spec, theta, wait_u,
+                    f"m={m}", lambda head: f"record R_{rank(head)}" if rank(head) <= m else None)
                 hits = _record_positions(x, cur_max)[: m - len(values)]
                 values += x[hits].tolist()
                 indices += [wait_i[h] for h in hits]
@@ -263,13 +270,14 @@ def _sequential_tops(spec: fam.FamilySpec, theta: float, m: int, gen: np.random.
             bg.state = saved
             bg.advance((full + 1) * width)
             with suppress(RecordCapError):
-                first_m[done + full] = _walk(np.asarray, m, gen, max_draws, (
+                first_m[done + full] = _walk(None, None, m, gen, max_draws, (
                     u[full, rec[full]].tolist(), rec[full].nonzero()[0].tolist()))[0]
         done += min(full + 1, k)
         k = k * 2 if full == k else max(1, k // 2)
     out, kept = np.full(count, math.nan), ~np.isnan(first_m[:, 0])
-    x = np.asarray(fam.quantile(spec, theta, first_m[kept]), dtype=float)
-    if ((x[:, 0] > -math.inf) & (x[:, 1:] > x[:, :-1]).all(axis=1)).all():
+    rank = lambda head: _record_positions(head[(head.size - 1) // m * m:], -math.inf).size
+    x = _observations(spec, theta, first_m[kept], f"m={m}", lambda head: f"record R_{rank(head)}")
+    if (x[:, 1:] > x[:, :-1]).all():
         out[kept] = x[:, m - 1]
         return out
     bg.state = start

@@ -114,6 +114,25 @@ def test_simulate_records_overflow_is_a_typed_error():
             == "8a25ff83927fa2873ea7eae95e3d1cd6e8b54120563af9ae2ae789a3fe4b9b9d")
 
 
+@pytest.mark.parametrize("mode", ["direct", "sequential"])
+@pytest.mark.parametrize("theta", ["-1", "0", "nan"])
+def test_simulate_records_checks_theta(theta, mode):
+    # --records-mode direct once drew for any theta and failed on what it drew
+    proc = run_cli("simulate", "--family", "exponential", "--theta", theta, "--records", "5",
+                   "--records-mode", mode, "--seed", "1", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: theta={float(theta)!r} outside parameter domain "
+                           "(0.0, inf) of family 'exponential'\n")
+
+
+def test_simulate_sequential_records_overflow_is_a_typed_error():
+    # this once printed 1,inf with exit 0 and a numpy overflow warning
+    proc = run_cli("simulate", "--family", "lomax", "--theta", "300", "--records", "2",
+                   "--records-mode", "sequential", "--seed", "1", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr == "error: family 'lomax' at m=2: record R_2 overflows float64\n"
+
+
 def test_simulate_sample_overflow_is_a_typed_error():
     # the weibull quantile overflows float64 at 6 of these 200 draws; the
     # first is named, and no numpy warning reaches stderr

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recordmle import family as family_mod, oracle as oracle_mod, records as records_mod
+from recordmle import closedform as closedform_mod, family as family_mod, oracle as oracle_mod
+from recordmle import records as records_mod
 from recordmle._streams import make_generator
 from recordmle import (
     ArgumentError,
@@ -278,6 +279,26 @@ def test_estimator_table_matches_the_plug_in_functions(spec):
         want = [plug_in(spec, th, x) for th in theta_hats]
         np.testing.assert_allclose(estimate(t), want, rtol=1e-13, atol=0.0)
         assert truth == pytest.approx(plug_in(spec, theta, x), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [math.inf, math.nan, 1.0, 0.0, -0.5])
+def test_power_target_k_rule_is_shared(k):
+    # exact_mse_g_power once returned a diverged result at k = inf
+    for fn, name in ((closedform_mod.mse_g_power_series, "mse_g_power_series"),
+                     (exact_mse_g_power, "exact_mse_g_power")):
+        with pytest.raises(ArgumentError) as info:
+            fn(1.0, 5, k)
+        assert str(info.value) == f"{name}: k must be positive, finite and not 1 (g degenerates)"
+
+
+@pytest.mark.parametrize("theta", [math.inf, math.nan, 0.0, -2.0])
+def test_power_target_theta_rule_is_shared(theta):
+    # exact_mse_g_power once took theta = inf to expect_over_gamma's rate check
+    for fn, name in ((closedform_mod.mse_g_power_series, "mse_g_power_series"),
+                     (exact_mse_g_power, "exact_mse_g_power")):
+        with pytest.raises(DomainError) as info:
+            fn(theta, 5, 0.5)
+        assert str(info.value) == f"{name}: theta must be positive and finite"
 
 
 def test_exact_target_domain_validation():
@@ -543,6 +564,30 @@ def test_mc_records_direct_overflow_is_a_domain_error():
     rep = mc_estimate(ExperimentConfig("lomax", 1.0, (600,), reps=100, seed=1),
                       "MSE_theta_hat", "records_direct")
     assert rep.failures == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_mc_records_overflow_is_a_domain_error(monkeypatch):
+    # lomax at theta = 1000 overflows at about half the draws; this once walked
+    # 97 of 100 rows to the 1e7-draw cap (4.4 s) and reported them as failures
+    def no_literal_walk(*args):
+        raise AssertionError("a row was walked on the values")
+
+    monkeypatch.setattr(records_mod, "sample_records_sequential", no_literal_walk)
+    cfg = ExperimentConfig("lomax", 1000.0, (3,), reps=100, seed=1)
+    with pytest.raises(DomainError, match=r"'lomax' at m=3: record R_[123] overflows"):
+        mc_estimate(cfg, "MSE_theta_hat", "records")
+
+
+@pytest.mark.filterwarnings("error")
+def test_mc_sample_overflow_is_a_domain_error():
+    # an overflowing draw made T inf and theta_hat = B_inv(0) = 0 finite: this
+    # reported 0.001779 +- 0.000036 with no failure, 9 stderr from 0.001458
+    cfg = ExperimentConfig("weibull:alpha=0.006", 0.05, (5,), reps=100_000, seed=1)
+    for call in (lambda: mc_estimate(cfg, "MSE_theta_hat", "sample"),
+                 lambda: mc_statistic_array(cfg, "sample")):
+        with pytest.raises(DomainError, match=r"at theta=0\.05: draw \d+ overflows float64"):
+            call()
 
 
 @pytest.mark.parametrize("source", ["sample", "records_direct"])

@@ -351,6 +351,51 @@ def test_sample_iid_overflow_is_a_domain_error():
         sample_iid(spec, 0.05, 200, rng_stream=1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta", [-1.0, 0.0, math.nan])
+@pytest.mark.parametrize("sampler", [sample_iid, sample_records_direct,
+                                     sample_records_sequential])
+def test_samplers_check_theta_before_any_draw(sampler, theta):
+    # the direct sampler once drew for any theta: "values must strictly increase"
+    # at -1 and 0 (after a divide-by-zero warning there), a record overflow at nan
+    gen = make_generator(1, 0)
+    state = gen.bit_generator.state
+    want = f"theta={theta!r} outside parameter domain (0.0, inf) of family 'exponential'"
+    with pytest.raises(DomainError) as info:
+        sampler(make_exponential(), theta, 5, gen)
+    assert str(info.value) == want
+    assert gen.bit_generator.state == state
+
+
+# seed -> positions of the two records of sample_records_sequential(lomax, 300, 2),
+# for the seeds whose records are finite
+_LOMAX_FINITE = {3: (0, 1), 9: (0, 3), 10: (0, 5), 14: (0, 2), 15: (0, 1), 16: (0, 3),
+                 17: (0, 4), 18: (0, 2), 19: (0, 16), 21: (0, 3), 22: (0, 1), 23: (0, 1),
+                 24: (0, 1), 26: (0, 16), 27: (0, 2), 30: (0, 1), 31: (0, 1), 33: (0, 1),
+                 35: (0, 3), 37: (0, 1), 38: (0, 1), 39: (0, 2)}
+
+
+@pytest.mark.filterwarnings("error")
+def test_sequential_overflow_of_a_held_record_is_a_domain_error():
+    # A_inv overflows past A = 709.8, a uniform above 1 - exp(-709.8/300) = 0.906.
+    # Only held records count: the sampler maps uniform records past the m-th,
+    # and checking those too would raise on every seed here. Before the check,
+    # 12 of the other 18 seeds returned inf as R_2 and 6 walked to the cap.
+    finite, named = {}, set()
+    for seed in range(1, 41):
+        try:
+            rs = sample_records_sequential(make_lomax(), 300.0, 2, (seed, 0))
+        except DomainError as exc:
+            named.add(str(exc))
+            continue
+        with np.errstate(over="ignore"):  # the definition maps every draw
+            want = _literal_sequential(make_lomax(), 300.0, 2, make_generator(seed, 0), 10**7)
+        assert (rs.values, rs.indices) == want, seed
+        finite[seed] = rs.indices
+    assert finite == _LOMAX_FINITE
+    assert named == {f"family 'lomax' at m=2: record R_{k} overflows float64" for k in (1, 2)}
+
+
 def test_two_record_samplers_agree_in_distribution():
     # both samplers target the law of the first m upper records; compare the
     # m-th record across replications with a two-sample KS statistic

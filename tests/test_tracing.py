@@ -39,3 +39,29 @@ def test_tracer_counts_one_mc_call_and_its_replications(capsys, monkeypatch):
     names = [span[0] for span in tracer.spans]
     assert names.count("oracle.mc") == 1 and names.count("cli") == 1
     assert tracer.counters["oracle.reps"] == 200
+
+
+def test_tracer_sees_the_samplers_quantile_calls(capsys, monkeypatch):
+    # the samplers reach family.quantile through one private map; a keyword call
+    # or a binding made at import would hide the draws from the tracer
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    tracer = tracing.Tracer()
+    restore = tracer.install(recordmle)
+    try:
+        tracer.begin_round()
+        codes = [cli.main(["simulate", "--family", "exponential", "--theta", "1.0", *argv,
+                           "--seed", "3"])
+                 for argv in (["--records", "4", "--records-mode", "sequential"], ["--n", "50"])]
+        tracer.end_round()
+    finally:
+        restore()
+    assert codes == [0, 0]
+    assert capsys.readouterr().out.count("index,value\n") == 2
+    names = [span[0] for span in tracer.spans]
+    assert names.count("records.sequential") == 1 and names.count("records.sample_iid") == 1
+    walk = names.index("records.sequential")
+    assert any(name == "family.quantile" and parent == walk
+               for name, _, _, parent in tracer.spans)
+    assert tracer.counters["records.sequential_draws"] > 0
